@@ -288,13 +288,6 @@ def bratteli(l, n_max):
     return BratteliGraph(l, n_max)
 
 
-def layer_dim_identity(l, n):
-    """Sum of squared module dims at one layer equals the algebra dimension."""
-    return len(enumerate_basis(l, n, n)) == sum(
-        standard_dim(mu, l, n) ** 2 for mu in all_labels(l, n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # fusion corner of the even-tone algebra
 

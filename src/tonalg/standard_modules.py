@@ -71,14 +71,6 @@ def bottom_pattern(mvec, l, n):
 # top profiles and the transversal
 
 
-def profile_class_counts(profile, l):
-    out = [0] * l
-    for _, cls in profile:
-        if cls:
-            out[cls - 1] += 1
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def transversal(mvec, l, n):
     """All top profiles for the given vector, canonically ordered.

@@ -8,7 +8,7 @@ from math import factorial
 from . import diagram as dg
 from . import gamma
 from .algebra import enumerate_basis
-from .standard_modules import transversal
+from .standard_modules import InvariantError, transversal
 
 
 class HeredityChain:
@@ -176,7 +176,8 @@ def section_checks(l, n, delta0=None):
     for label, consumed in section_label_sets(l, n):
         a = dg.a_m(label, l, n)
         k, aa = dg.compose(a, a)
-        assert aa == a
+        if aa != a:
+            raise InvariantError("a_m is not idempotent up to delta for %r" % (label,))
         flagged = bool(delta0 == 0 and k > 0 and not any(label))
         sec_dim = 0
         per_vector = []

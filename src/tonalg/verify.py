@@ -24,6 +24,7 @@ from .standard_modules import (
     vanishing_top_layer_check,
     generator_diagrams,
     all_labels,
+    polar_decompose,
 )
 from .gram import (
     gram_det,
@@ -52,26 +53,56 @@ CheckResult = namedtuple("CheckResult", ["name", "params", "ok"])
 GENERIC_POINT = 10 ** 6 + 3
 
 
-def _pairwise_products_ok(l, n):
-    basis = enumerate_basis(l, n, n)
-    if l == 1 and len(basis) > 1000:
-        from .fastops import pairwise_tone_and_bottleneck
+def pairwise_closure(l, n, basis=None):
+    """Tone closure and the vector bottleneck over every ordered pair of
+    basis diagrams; returns (tone_ok, bottleneck_ok).
 
-        t_ok, b_ok = pairwise_tone_and_bottleneck(basis, n, l)
-        return t_ok and b_ok
-    for a in basis:
+    tone_ok says every product ab is l-tone, bottleneck_ok that
+    prop_vector(ab) <= prop_vector(a) in the index poset.  `basis` defaults
+    to the (l, n) diagram basis; if any of its diagrams is not l-tone,
+    neither property is established and (False, False) is returned.
+
+    The sweep composes one representative per (left signature, right
+    signature) pair instead of every pair of diagrams, and is exact:
+
+    * the left signature of a is its bottom profile from polar_decompose:
+      for each block meeting the bottom row, its bottom vertex set and its
+      class (top count mod l, 0 -> l), or 0 if it has no top vertex; the
+      right signature of b is its top profile, defined the same way;
+    * the middle components of a over b are unions of a's bottom parts and
+      b's top parts, so the signatures fix which blocks of a and of b merge;
+    * in an l-tone diagram a block's top count is congruent to its bottom
+      count mod l, so each merged block's top count mod l is the sum of the
+      classes of a's blocks in it, and its bottom count mod l the sum of the
+      classes of b's blocks; blocks of a with no bottom vertex and of b with
+      no top vertex pass into ab unchanged and are l-tone already;
+    * hence every product block's kernel mod l, whether it propagates, and
+      its class are functions of the two signatures, and so are
+      prop_vector(ab), prop_vector(a) and the pair's verdict.
+    """
+    if basis is None:
+        basis = enumerate_basis(l, n, n)
+    if not all(dg.is_l_tone(d, l) for d in basis):
+        return False, False
+    lefts, rights = {}, {}
+    for d in basis:
+        top, _, bottom, _ = polar_decompose(d, l)
+        lefts.setdefault(bottom, d)
+        rights.setdefault(top, d)
+    tone_ok = bottleneck_ok = True
+    for a in lefts.values():
         va = dg.prop_vector(a, l)
-        for b in basis:
-            k, d = dg.compose(a, b)
+        for b in rights.values():
+            _, d = dg.compose(a, b)
             if not dg.is_l_tone(d, l):
-                return False
-            if not gamma.poset_leq(dg.prop_vector(d, l), va, l):
-                return False
-    return True
+                tone_ok = False
+            elif not gamma.poset_leq(dg.prop_vector(d, l), va, l):
+                bottleneck_ok = False
+    return tone_ok, bottleneck_ok
 
 
 def check_tone_closure(l, n):
-    return _pairwise_products_ok(l, n)
+    return all(pairwise_closure(l, n))
 
 
 def check_flip_antiautomorphism(l, n):

@@ -24,6 +24,7 @@ from tonalg.standard_modules import (
     corner_compression_check,
     globalise_module_check,
 )
+from tonalg.verify import pairwise_closure
 
 GENERIC_POINT = 10 ** 6 + 3
 
@@ -34,24 +35,8 @@ def report(num, ok, text):
 
 
 def test_criterion_01_tone_closure_and_bottleneck():
-    ok = True
-    for l in (1, 2, 3):
-        for n in range(0, 5):
-            basis = enumerate_basis(l, n, n)
-            if l == 1 and len(basis) > 1000:
-                from tonalg.fastops import pairwise_tone_and_bottleneck
-
-                t_ok, b_ok = pairwise_tone_and_bottleneck(basis, n, l)
-                ok = ok and t_ok and b_ok
-                continue
-            for a in basis:
-                va = dg.prop_vector(a, l)
-                for b in basis:
-                    _, d = dg.compose(a, b)
-                    if not dg.is_l_tone(d, l):
-                        ok = False
-                    if not gamma.poset_leq(dg.prop_vector(d, l), va, l):
-                        ok = False
+    cases = [(l, n) for l in (1, 2, 3) for n in range(0, 5)] + [(2, 5), (3, 5)]
+    ok = all(all(pairwise_closure(l, n)) for l, n in cases)
     report(1, ok, "pairwise products stay in tone and respect the vector bottleneck")
 
 

@@ -1,8 +1,12 @@
 from math import factorial
 
+import pytest
+
+from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import structure as st
 from tonalg.algebra import enumerate_basis
+from tonalg.standard_modules import InvariantError
 
 
 def test_p_chain_labels():
@@ -90,3 +94,9 @@ def test_structure_report():
     assert rep["a_sections_ok"]
     assert rep["total"] == len(enumerate_basis(2, 4, 4))
     assert rep["delta0"] == "0"
+
+
+def test_section_checks_raises_on_non_idempotent_generator(monkeypatch):
+    monkeypatch.setattr(st.dg, "compose", lambda p, q: (0, dg.identity(p.n)))
+    with pytest.raises(InvariantError):
+        st.section_checks(2, 4)
