@@ -3,10 +3,11 @@ rank drops at special parameter values."""
 
 from fractions import Fraction
 
+from tonalg.exactla import bareiss_det
 from tonalg.gram import (
-    gram_det,
+    GENERIC_POINT,
     gram_matrix,
-    generic_rank,
+    gram_summary,
     is_semisimple_at,
     rank_at,
 )
@@ -15,8 +16,9 @@ print("== the 4x4 Gram matrix of the module ((1),-) at l=2, n=3 ==")
 g = gram_matrix(((1,), ()), 2, 3)
 for row in g.entries:
     print("  [%s]" % ", ".join("%6s" % str(e) for e in row))
-print("determinant:", gram_det(((1,), ()), 2, 3))
-print("generic rank:", generic_rank(((1,), ()), 2, 3), "of", g.dim)
+rank, det = bareiss_det(g.entries)
+print("determinant:", det)
+print("generic rank:", rank, "of", g.dim)
 
 print()
 print("== specialization at delta = 1 ==")
@@ -24,7 +26,12 @@ print("rank of ((1),-):", rank_at(((1,), ()), 2, 3, 1), " (drops: 4 = 1 + 3)")
 print("rank of ((1),(1)):", rank_at(((1,), (1,)), 2, 3, 1), " (stays full)")
 
 print()
+print("== nondegeneracy certified by exact rank at delta = %d ==" % GENERIC_POINT)
+for s in gram_summary(2, 3):
+    print("  %-16s dim %d, rank %d, det != 0: %s" % (s.mu, s.dim, s.rank_at, s.nondegenerate))
+
+print()
 print("== semisimplicity verdicts ==")
 print("at delta = 17/3  :", is_semisimple_at(2, 3, Fraction(17, 3)))
 print("at delta = 1     :", is_semisimple_at(2, 3, 1))
-print("at delta = 10^6+3:", is_semisimple_at(2, 3, 10 ** 6 + 3))
+print("at delta = 10^6+3:", is_semisimple_at(2, 3, GENERIC_POINT))

@@ -74,8 +74,9 @@ from .standard_modules import (
 from .gram import (
     GramMatrix,
     gram_matrix,
-    gram_det,
-    generic_rank,
+    gram_summary,
+    certify_nondegenerate,
+    GENERIC_POINT,
     rank_at,
     is_semisimple_at,
     top_layer_check,

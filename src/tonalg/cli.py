@@ -44,7 +44,21 @@ def parse_mu(text, l):
 
 def parse_rational(text):
     num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError("zero denominator in %r" % text)
     return Fraction(int(num), int(den) if den else 1)
+
+
+def validate(args):
+    """Refuse out-of-range sizes and parse --at, before any work starts."""
+    if getattr(args, "l", 1) < 1:
+        raise ValueError("--l must be at least 1, got %d" % args.l)
+    for name in ("n", "m", "n_max"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError("--%s must be nonnegative, got %d" % (name.replace("_", "-"), value))
+    if hasattr(args, "at"):
+        args.at = parse_rational(args.at) if args.at else None
 
 
 def _emit(args, text):
@@ -120,8 +134,7 @@ def cmd_module(args):
 
 def cmd_gram(args):
     mu = parse_mu(args.mu, args.l)
-    point = parse_rational(args.at) if args.at else None
-    rep = gram_report(mu, args.l, args.n, point=point, want_det=args.det)
+    rep = gram_report(mu, args.l, args.n, point=args.at, want_det=args.det)
     _emit(args, _json(rep))
     return 0
 
@@ -139,8 +152,7 @@ def cmd_bratteli(args):
 
 
 def cmd_structure(args):
-    point = parse_rational(args.at) if args.at else None
-    _emit(args, _json(structure_report(args.l, args.n, point)))
+    _emit(args, _json(structure_report(args.l, args.n, args.at)))
     return 0
 
 
@@ -153,14 +165,16 @@ def cmd_verify(args):
             print("unknown checks: %s" % ", ".join(unknown), file=sys.stderr)
             return 2
     results = run_verify(args.l, args.n_max, names)
-    failed = 0
     for res in results:
-        status = "PASS" if res.ok else "FAIL"
-        print("%s %s (%s)" % (status, res.name, res.params))
-        if not res.ok:
-            failed += 1
-    print("%d/%d checks passed" % (len(results) - failed, len(results)))
-    return 1 if failed else 0
+        if res.error:
+            print("ERROR %s (%s): %s" % (res.name, res.params, res.error))
+        else:
+            print("%s %s (%s)" % ("PASS" if res.ok else "FAIL", res.name, res.params))
+    passed = sum(res.ok for res in results)
+    print("%d/%d checks passed" % (passed, len(results)))
+    if any(res.error for res in results):
+        return 3
+    return 0 if passed == len(results) else 1
 
 
 def build_parser():
@@ -239,6 +253,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        validate(args)
         return args.fn(args)
     except (dg.DiagramError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

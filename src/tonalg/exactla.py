@@ -76,44 +76,24 @@ def poly_mat_eq(A, B):
 
 
 def bareiss_det(M):
-    """Exact determinant of a square DeltaPoly matrix by fraction-free
-    elimination (all intermediate divisions are exact)."""
-    A = [row[:] for row in poly_mat(M)]
-    d = len(A)
-    if d == 0:
-        return DeltaPoly.one()
-    sign = 1
-    prev = DeltaPoly.one()
-    for k in range(d - 1):
-        if A[k][k].is_zero():
-            piv = next((r for r in range(k + 1, d) if not A[r][k].is_zero()), None)
-            if piv is None:
-                return DeltaPoly.zero()
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                num = A[k][k] * A[i][j] - A[i][k] * A[k][j]
-                A[i][j] = num.divexact(prev)
-            A[i][k] = DeltaPoly.zero()
-        prev = A[k][k]
-    det = A[d - 1][d - 1]
-    return -det if sign < 0 else det
-
-
-def poly_rank(M):
-    """Rank of a DeltaPoly matrix over the fraction field Q(delta)."""
+    """(rank over Q(delta), determinant) of a DeltaPoly matrix by
+    fraction-free elimination (Bareiss 1968): columns without a pivot are
+    skipped, every division is exact, and row swaps flip the sign.  The
+    determinant is zero unless the matrix is square and of full rank."""
     A = [row[:] for row in poly_mat(M)]
     if not A:
-        return 0
+        return 0, DeltaPoly.one()
     rows, cols = len(A), len(A[0])
+    sign = 1
     prev = DeltaPoly.one()
     r = 0
     for col in range(cols):
         piv = next((i for i in range(r, rows) if not A[i][col].is_zero()), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(col + 1, cols):
                 num = A[r][col] * A[i][j] - A[i][col] * A[r][j]
@@ -123,7 +103,8 @@ def poly_rank(M):
         r += 1
         if r == rows:
             break
-    return r
+    det = prev if r == rows == cols else DeltaPoly.zero()
+    return r, -det if sign < 0 else det
 
 
 def fraction_rank(M):

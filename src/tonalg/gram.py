@@ -8,7 +8,8 @@ the sandwich is delta^k times a matching permutation on the canonical
 layout and the entry is delta^k times the symmetric-group form value.
 """
 
-from fractions import Fraction
+from collections import namedtuple
+from functools import lru_cache
 import random
 
 from .deltapoly import DeltaPoly
@@ -17,7 +18,6 @@ from . import gamma
 from .algebra import Element
 from .exactla import (
     bareiss_det,
-    poly_rank,
     fraction_rank,
     poly_mat_mul,
     poly_mat_eq,
@@ -107,26 +107,41 @@ def gram_matrix(mu, l, n):
     return GramMatrix(mu, l, n)
 
 
-def gram_det(mu, l, n):
-    return bareiss_det(gram_matrix(mu, l, n).entries)
-
-
-def generic_rank(mu, l, n):
-    return poly_rank(gram_matrix(mu, l, n).entries)
-
-
 def rank_at(mu, l, n, point):
     """Rank of the Gram matrix at an exact evaluation point (Fraction/int)."""
     return fraction_rank(gram_matrix(mu, l, n).evaluate(point))
 
 
-def is_semisimple_at(l, n, point):
-    """True iff every standard-module Gram matrix has full rank at the point."""
+# An exact evaluation point away from the small integers, where the Gram
+# forms degenerate.
+GENERIC_POINT = 10 ** 6 + 3
+
+GramSummary = namedtuple("GramSummary", ["mu", "dim", "rank_at", "nondegenerate"])
+
+
+def certify_nondegenerate(entries, point=GENERIC_POINT):
+    """(rank at the point, det != 0 in Z[delta]) for a square DeltaPoly
+    matrix.  Full rank at one exact point gives det(point) != 0, hence
+    det != 0 and full generic rank; only a deficient rank at the point runs
+    the elimination over Z[delta]."""
+    r = fraction_rank(poly_mat_evaluate(entries, point))
+    return r, r == len(entries) or not bareiss_det(entries)[1].is_zero()
+
+
+@lru_cache(maxsize=None)
+def gram_summary(l, n):
+    """One GramSummary per label at (l, n), each from one Gram build; only
+    these small tuples are cached, not the matrices."""
+    out = []
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)
-        if fraction_rank(g.evaluate(point)) != g.dim:
-            return False
-    return True
+        out.append(GramSummary(g.mu, g.dim, *certify_nondegenerate(g.entries)))
+    return tuple(out)
+
+
+def is_semisimple_at(l, n, point):
+    """True iff every standard-module Gram matrix has full rank at the point."""
+    return all(rank_at(mu, l, n, point) == standard_module(mu, l, n).dim for mu in all_labels(l, n))
 
 
 def top_layer_check(l, n):
@@ -184,10 +199,9 @@ def gram_report(mu, l, n, point=None, want_det=False):
         "n": n,
         "dim": g.dim,
         "entries": [[e.to_json() for e in row] for row in g.entries],
-        "generic_rank": poly_rank(g.entries),
     }
+    out["generic_rank"], det = bareiss_det(g.entries)
     if want_det:
-        det = bareiss_det(g.entries)
         out["det"] = det.to_json()
         out["det_str"] = str(det)
     if point is not None:

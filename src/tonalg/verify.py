@@ -26,14 +26,7 @@ from .standard_modules import (
     all_labels,
     polar_decompose,
 )
-from .gram import (
-    gram_det,
-    generic_rank,
-    gram_matrix,
-    is_semisimple_at,
-    contravariance_check,
-    top_layer_check,
-)
+from .gram import gram_summary, contravariance_check, top_layer_check
 from .branching import (
     branching_dim_check,
     classified_dim_checks,
@@ -48,9 +41,8 @@ from .structure import (
 )
 
 
-CheckResult = namedtuple("CheckResult", ["name", "params", "ok"])
-
-GENERIC_POINT = 10 ** 6 + 3
+# error: "<Type>: <message>" when the check raised instead of answering
+CheckResult = namedtuple("CheckResult", ["name", "params", "ok", "error"], defaults=(None,))
 
 
 def pairwise_closure(l, n, basis=None):
@@ -202,19 +194,15 @@ def check_sum_of_squares(l, n):
 
 
 def check_gram_nondegenerate(l, n):
-    return all(not gram_det(mu, l, n).is_zero() for mu in all_labels(l, n))
+    return all(s.nondegenerate for s in gram_summary(l, n))
 
 
-def check_generic_rank(l, n):
-    for mu in all_labels(l, n):
-        g = gram_matrix(mu, l, n)
-        if generic_rank(mu, l, n) != g.dim:
-            return False
-    return True
+# a square matrix has full generic rank exactly when its det is nonzero
+check_generic_rank = check_gram_nondegenerate
 
 
-def check_semisimple_generic_point(l, n, point=GENERIC_POINT):
-    return is_semisimple_at(l, n, point)
+def check_semisimple_generic_point(l, n):
+    return all(s.rank_at == s.dim for s in gram_summary(l, n))
 
 
 def check_top_layer(l, n):
@@ -343,12 +331,11 @@ CHECK_NAMES = [name for name, _ in CHECKS]
 
 def _run_one(job):
     name, l, n = job
-    fn = _CHECK_MAP[name]
+    params = "l=%d,n=%d" % (l, n)
     try:
-        ok = bool(fn(l, n))
-    except Exception:
-        ok = False
-    return CheckResult(name, "l=%d,n=%d" % (l, n), ok)
+        return CheckResult(name, params, bool(_CHECK_MAP[name](l, n)))
+    except Exception as exc:
+        return CheckResult(name, params, False, "%s: %s" % (type(exc).__name__, exc))
 
 
 def thread_count():

@@ -28,6 +28,8 @@ def test_parse_mu():
 def test_parse_rational():
     assert parse_rational("5/3") == Fraction(5, 3)
     assert parse_rational("-7") == Fraction(-7)
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
 
 
 def test_compose(capsys):
@@ -135,6 +137,40 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out = run_cli(capsys, ["verify", "--l", "2", "--n-max", "1", "--only", "sum-of-squares"])
     assert code == 1
     assert "FAIL sum-of-squares" in out
+
+
+def test_verify_error_is_not_a_failure(capsys, monkeypatch):
+    import tonalg.verify as vf
+
+    def broken(l, n):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(vf._CHECK_MAP, "sum-of-squares", broken)
+    code, out = run_cli(capsys, ["verify", "--l", "2", "--n-max", "1", "--only", "sum-of-squares,index-set-split"])
+    assert code == 3
+    assert "ERROR sum-of-squares (l=2,n=0): ZeroDivisionError: boom" in out
+    assert "FAIL" not in out
+    assert out.count("PASS index-set-split") == 2
+    assert out.strip().splitlines()[-1] == "2/4 checks passed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--l", "0", "--n", "2"],
+    ["gamma", "--l", "0", "--n", "2"],
+    ["gram", "--l", "2", "--n", "3", "--mu", "1|-", "--at", "1/0"],
+    ["structure", "--l", "2", "--n", "3", "--at", "1/0"],
+    ["basis", "--l", "2", "--n", "-1"],
+    ["basis", "--l", "2", "--n", "2", "--m", "-1"],
+    ["verify", "--l", "0", "--n-max", "2"],
+    ["verify", "--l", "2", "--n-max", "-1"],
+])
+def test_bad_input_is_refused_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_bad_arguments_exit_2(capsys):

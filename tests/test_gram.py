@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from tonalg import diagram as dg
 from tonalg import gram as gr
 from tonalg.algebra import Element
 from tonalg.deltapoly import DeltaPoly
-from tonalg.exactla import fraction_rank, poly_mat_mul, poly_mat_eq
+from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq
 from tonalg.standard_modules import all_labels, standard_module
 
 
@@ -20,7 +22,7 @@ def test_worked_four_by_four():
         for j in range(4):
             if i != j:
                 assert g.entries[i][j] == one
-    assert gr.gram_det(((1,), ()), 2, 3) == (d - 1) * (d - 1) * (d - 1)
+    assert bareiss_det(g.entries) == (4, (d - 1) * (d - 1) * (d - 1))
 
 
 def test_symmetry():
@@ -65,15 +67,74 @@ def test_diagonal_degree_dominates_row():
 
 def test_det_nonzero_small_range():
     for l, n in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (1, 3)]:
-        for mu in all_labels(l, n):
-            assert not gr.gram_det(mu, l, n).is_zero(), (l, n, mu)
+        for s in gr.gram_summary(l, n):
+            assert s.nondegenerate and s.rank_at == s.dim, (l, n, s.mu)
 
 
 def test_generic_rank_full():
     for l, n in [(2, 3), (2, 4), (3, 4)]:
         for mu in all_labels(l, n):
             g = gr.gram_matrix(mu, l, n)
-            assert gr.generic_rank(mu, l, n) == g.dim
+            rank, det = bareiss_det(g.entries)
+            assert rank == g.dim and not det.is_zero()
+
+
+def test_elimination_matches_sympy_at_points():
+    # oracle: sympy's rank and det of the Gram matrix at integer points;
+    # delta = 1 is a root of some of these determinants, 13 and 101 are not
+    sympy = pytest.importorskip("sympy")
+    for l, n in [(2, 3), (2, 4), (3, 4), (1, 3)]:
+        for mu in all_labels(l, n):
+            g = gr.gram_matrix(mu, l, n)
+            rank, det = bareiss_det(g.entries)
+            ranks = []
+            for x in (1, 13, 101):
+                S = sympy.Matrix(g.evaluate(x))
+                assert S.det() == det.evaluate(x), (l, n, mu, x)
+                ranks.append(S.rank())
+            assert max(ranks) == rank, (l, n, mu, ranks)
+
+
+def test_elimination_of_singular_and_nonsquare_matrices():
+    d = DeltaPoly.delta(1)
+    rank, det = bareiss_det(poly_mat([[d, 1, 0], [d, 1, 0], [0, d, 1]]))
+    assert rank == 2 and det.is_zero()
+    rank, det = bareiss_det(poly_mat([[0, 1, d], [1, 0, 0]]))
+    assert rank == 2 and det.is_zero()
+    # one row swap flips the sign
+    assert bareiss_det(poly_mat([[0, 1], [d, 0]])) == (2, -d)
+
+
+def test_certificate_falls_back_to_elimination():
+    # rank 0 at the generic point, yet delta - P is a nonzero polynomial
+    entries = [[DeltaPoly.delta(1) - gr.GENERIC_POINT]]
+    assert gr.certify_nondegenerate(entries) == (0, True)
+
+
+def test_certificate_rejects_generically_singular_matrix():
+    d = DeltaPoly.delta(1)
+    entries = poly_mat([[d, 1, 2], [d, 1, 2], [1, d, d * d]])
+    assert gr.certify_nondegenerate(entries) == (2, False)
+
+
+def test_gram_summary_builds_each_label_once_without_elimination(monkeypatch):
+    builds = []
+    init = gr.GramMatrix.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    def no_elimination(entries):
+        raise AssertionError("full rank at the point needs no elimination")
+
+    monkeypatch.setattr(gr.GramMatrix, "__init__", counted)
+    monkeypatch.setattr(gr, "bareiss_det", no_elimination)
+    gr.gram_summary.cache_clear()
+    first = gr.gram_summary(2, 4)
+    assert gr.gram_summary(2, 4) is first
+    assert sorted(builds) == sorted((mu, 2, 4) for mu in all_labels(2, 4))
+    assert [s.rank_at for s in first] == [gr.rank_at(s.mu, 2, 4, gr.GENERIC_POINT) for s in first]
 
 
 def test_modular_instance_ranks():
@@ -154,4 +215,5 @@ def test_gram_report():
     rep = gr.gram_report(((1,), ()), 2, 3, point=Fraction(1), want_det=True)
     assert rep["dim"] == 4
     assert rep["rank_at"] == 1
+    assert rep["generic_rank"] == 4
     assert rep["det_str"] == "d^3 - 3*d^2 + 3*d - 1"
