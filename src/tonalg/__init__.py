@@ -75,7 +75,6 @@ from .gram import (
     GramMatrix,
     gram_matrix,
     gram_summary,
-    certify_nondegenerate,
     GENERIC_POINT,
     rank_at,
     is_semisimple_at,

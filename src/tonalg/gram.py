@@ -119,19 +119,22 @@ GENERIC_POINT = 10 ** 6 + 3
 GramSummary = namedtuple("GramSummary", ["mu", "dim", "rank_at", "nondegenerate"])
 
 
-def certify_nondegenerate(entries, point=GENERIC_POINT):
-    """(rank at the point, det != 0 in Z[delta]) for a square DeltaPoly
+def certify_nondegenerate(entries):
+    """(rank at GENERIC_POINT, det != 0 in Z[delta]) for a square DeltaPoly
     matrix.  Full rank at one exact point gives det(point) != 0, hence
     det != 0 and full generic rank; only a deficient rank at the point runs
     the elimination over Z[delta]."""
-    r = fraction_rank(poly_mat_evaluate(entries, point))
+    r = fraction_rank(poly_mat_evaluate(entries, GENERIC_POINT))
     return r, r == len(entries) or not bareiss_det(entries)[1].is_zero()
 
 
 @lru_cache(maxsize=None)
 def gram_summary(l, n):
     """One GramSummary per label at (l, n), each from one Gram build; only
-    these small tuples are cached, not the matrices."""
+    these small tuples are cached, not the matrices.  The cache lives in one
+    process: verify with TONALG_THREADS > 1 may hand the three Gram checks of
+    one n to different workers, and each worker then builds the summary
+    again."""
     out = []
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)
@@ -141,7 +144,11 @@ def gram_summary(l, n):
 
 def is_semisimple_at(l, n, point):
     """True iff every standard-module Gram matrix has full rank at the point."""
-    return all(rank_at(mu, l, n, point) == standard_module(mu, l, n).dim for mu in all_labels(l, n))
+    for mu in all_labels(l, n):
+        g = gram_matrix(mu, l, n)
+        if fraction_rank(g.evaluate(point)) != g.dim:
+            return False
+    return True
 
 
 def top_layer_check(l, n):
