@@ -57,8 +57,7 @@ def validate(args):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ValueError("--%s must be nonnegative, got %d" % (name.replace("_", "-"), value))
-    if hasattr(args, "at"):
-        args.at = parse_rational(args.at) if args.at else None
+    args.at = parse_rational(args.at) if getattr(args, "at", None) else None
 
 
 def _emit(args, text):
@@ -166,10 +165,9 @@ def cmd_verify(args):
             return 2
     results = run_verify(args.l, args.n_max, names)
     for res in results:
-        if res.error:
-            print("ERROR %s (%s): %s" % (res.name, res.params, res.error))
-        else:
-            print("%s %s (%s)" % ("PASS" if res.ok else "FAIL", res.name, res.params))
+        status = "ERROR" if res.error else "PASS" if res.ok else "FAIL"
+        detail = ": " + res.error if res.error else ""
+        print("%s %s (%s)%s" % (status, res.name, res.params, detail))
     passed = sum(res.ok for res in results)
     print("%d/%d checks passed" % (passed, len(results)))
     if any(res.error for res in results):

@@ -120,21 +120,18 @@ GramSummary = namedtuple("GramSummary", ["mu", "dim", "rank_at", "nondegenerate"
 
 
 def certify_nondegenerate(entries):
-    """(rank at GENERIC_POINT, det != 0 in Z[delta]) for a square DeltaPoly
-    matrix.  Full rank at one exact point gives det(point) != 0, hence
-    det != 0 and full generic rank; only a deficient rank at the point runs
-    the elimination over Z[delta]."""
+    """(rank at GENERIC_POINT, det != 0 in Z[delta]) of a square DeltaPoly
+    matrix.  Full rank at the point forces det != 0 and full generic rank;
+    only a deficient rank runs the elimination over Z[delta]."""
     r = fraction_rank(poly_mat_evaluate(entries, GENERIC_POINT))
     return r, r == len(entries) or not bareiss_det(entries)[1].is_zero()
 
 
 @lru_cache(maxsize=None)
 def gram_summary(l, n):
-    """One GramSummary per label at (l, n), each from one Gram build; only
-    these small tuples are cached, not the matrices.  The cache lives in one
-    process: verify with TONALG_THREADS > 1 may hand the three Gram checks of
-    one n to different workers, and each worker then builds the summary
-    again."""
+    """One GramSummary per label at (l, n), each from one Gram build.  The
+    cache holds these tuples, not the matrices, and only within one process:
+    each of verify's worker processes builds its own."""
     out = []
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)
