@@ -156,20 +156,49 @@ def set_partitions(items):
     yield from rec(1 if n else 0, 1 if n else 0)
 
 
+def tone_partitions(charges, l):
+    """The partitions of range(len(charges)) whose blocks each have charge
+    sum = 0 mod l (charges: a sequence of ints), as tuples of sorted block
+    tuples, in increasing lexicographic order.
+
+    Restricted-growth generation (Knuth, TAOCP 4A, 7.2.1.5) block by block:
+    the block holding the least remaining item runs over the subsets of the
+    remaining items in lexicographic order, and only a block of residue 0 is
+    recursed into, so no partition with a nonzero block is ever built.  The
+    blocks of each remaining set are tabulated once per call.
+    """
+    if l < 1:
+        raise dg.DiagramError("need l >= 1, got %r" % (l,))
+
+    @lru_cache(maxsize=None)
+    def blocks(rest):
+        # (block, what it leaves) for every residue-0 block holding rest[0]
+        out, others = [], rest[1:]
+        stack = [((rest[0],), charges[rest[0]] % l, 0)]
+        while stack:
+            block, res, start = stack.pop()
+            if res == 0:
+                out.append((block, tuple(x for x in others if x not in block)))
+            for j in range(len(others) - 1, start - 1, -1):
+                stack.append((block + (others[j],), (res + charges[others[j]]) % l, j + 1))
+        return out
+
+    def rec(rest, prefix):
+        if not rest:
+            yield prefix
+            return
+        for block, left in blocks(rest):
+            yield from rec(left, prefix + (block,))
+
+    return rec(tuple(range(len(charges))), ())
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(l, n, m):
     """All l-tone diagrams of shape (n, m), in canonical order."""
-    out = []
-    for blocks in set_partitions(range(n + m)):
-        ok = True
-        for b in blocks:
-            if dg.kernel(b, n) % l != 0:
-                ok = False
-                break
-        if ok:
-            out.append(dg.Diagram(n, m, dg._canonical(blocks)))
-    out.sort()
-    return tuple(out)
+    if n < 0 or m < 0:
+        raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
+    return tuple(dg.Diagram(n, m, b) for b in tone_partitions([1] * n + [-1] * m, l))
 
 
 def reduce_mod_below(x, mvec):

@@ -13,6 +13,7 @@ component made of middle vertices only.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 
 ScaledDiagram = namedtuple("ScaledDiagram", ["delta_exponent", "diagram"])
@@ -97,10 +98,8 @@ def make_diagram(n, m, blocks):
         for v in b:
             code = _coerce_vertex(v, n, m)
             if code in seen:
-                raise DiagramError(
-                    "vertex %s appears in more than one block"
-                    % ("T%d" % (code + 1) if code < n else "B%d" % (code - n + 1))
-                )
+                name = _vertex_names(n, m)[code]
+                raise DiagramError("vertex %s appears in more than one block" % name)
             seen[code] = True
             cb.append(code)
         if not cb:
@@ -108,16 +107,19 @@ def make_diagram(n, m, blocks):
         coded.append(cb)
     for code in range(n + m):
         if code not in seen:
-            raise DiagramError(
-                "vertex %s is not covered by any block"
-                % ("T%d" % (code + 1) if code < n else "B%d" % (code - n + 1))
-            )
+            raise DiagramError("vertex %s is not covered by any block" % _vertex_names(n, m)[code])
     return Diagram(n, m, _canonical(coded))
+
+
+@lru_cache(maxsize=None)
+def _vertex_names(n, m):
+    return tuple(["T%d" % (i + 1) for i in range(n)] + ["B%d" % (j + 1) for j in range(m)])
 
 
 def serialize(d):
     """Text form `n,m|b1;b2;...` with vertices as Ti/Bj tokens."""
-    body = ";".join(",".join(d.vertex_name(v) for v in b) for b in d.blocks)
+    names = _vertex_names(d.n, d.m)
+    body = ";".join([",".join([names[v] for v in b]) for b in d.blocks])
     return "%d,%d|%s" % (d.n, d.m, body)
 
 

@@ -8,7 +8,6 @@ Checks are sized so the battery stays interactive at desk scale.
 import os
 import random
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 from . import diagram as dg
 from . import gamma
@@ -349,7 +348,8 @@ def run_verify(l, n_max, names=None):
     """Evaluate the battery for the given l over n = 0..n_max.
 
     Returns a list of CheckResult in deterministic order; jobs may fan out
-    across processes when TONALG_THREADS > 1.
+    across processes when TONALG_THREADS > 1, and only then is the process
+    pool (and with it multiprocessing) imported.
     """
     names = CHECK_NAMES if names is None else names
     jobs = []
@@ -358,6 +358,7 @@ def run_verify(l, n_max, names=None):
             jobs.append((name, l, n))
     workers = thread_count()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, jobs))
     else:

@@ -5,8 +5,9 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
-from tonalg.algebra import Element, enumerate_basis, reduce_mod_below, set_partitions
+from tonalg.algebra import Element, enumerate_basis, reduce_mod_below, set_partitions, tone_partitions
 from tonalg.deltapoly import DeltaPoly
+from tonalg.standard_modules import corner_basis, sum_of_squares_check
 
 
 def bell(n):
@@ -77,6 +78,92 @@ def test_enumerate_basis_even_block_counts():
     # classical counts of set partitions of 2n points into even blocks
     for n, count in [(0, 1), (1, 1), (2, 4), (3, 31), (4, 379), (5, 6556)]:
         assert len(enumerate_basis(2, n, n)) == count
+
+
+def _filter_route(l, n, m, partitions=None):
+    # the plain route, independent of tone_partitions: every set partition,
+    # canonicalised, filtered by the kernel rule, sorted
+    if partitions is None:
+        partitions = [dg._canonical(b) for b in set_partitions(range(n + m))]
+    return sorted(dg.Diagram(n, m, b) for b in partitions if all(dg.kernel(blk, n) % l == 0 for blk in b))
+
+
+def test_enumerate_basis_matches_filter_route():
+    for size in range(0, 9):
+        for n in range(size + 1):
+            m = size - n
+            partitions = [dg._canonical(b) for b in set_partitions(range(size))]
+            for l in range(1, 5):
+                basis = enumerate_basis(l, n, m)
+                assert list(basis) == sorted(basis), (l, n, m)
+                assert list(basis) == _filter_route(l, n, m, partitions), (l, n, m)
+
+
+def test_mutated_charges_fail_the_filter_route():
+    # negative control: one top vertex charged -1 instead of +1 (a change
+    # that l = 2 cannot see, since -1 = 1 mod 2)
+    for l, n, m in [(3, 3, 3), (4, 4, 4), (3, 4, 1)]:
+        charges = [-1] + [1] * (n - 1) + [-1] * m
+        mutated = [dg.Diagram(n, m, b) for b in tone_partitions(charges, l)]
+        assert mutated != _filter_route(l, n, m), (l, n, m)
+
+
+def test_tone_partitions_edge_cases():
+    assert list(tone_partitions([], 3)) == [()]
+    assert list(tone_partitions([1, 1], 3)) == []
+    assert list(tone_partitions([1, -1], 2)) == [((0, 1),)]
+    assert list(tone_partitions([2, 2], 2)) == [((0,), (1,)), ((0, 1),)]
+
+
+@pytest.mark.parametrize("l, n, m", [(0, 2, 2), (-1, 1, 1), (1, -1, -1), (1, -1, 2), (2, 2, -1)])
+def test_enumerate_basis_refuses_bad_sizes(l, n, m):
+    with pytest.raises(dg.DiagramError):
+        enumerate_basis(l, n, m)
+
+
+@pytest.mark.parametrize("l", [0, -2])
+def test_tone_partitions_refuses_l_below_one(l):
+    with pytest.raises(dg.DiagramError):
+        tone_partitions([1, -1], l)
+
+
+def _corner_filter_route(l, n):
+    # the plain route for corner_basis: walk every set partition of the two
+    # supernodes and the free vertices, expand, keep the l-tone diagrams
+    objs = ["TS"] + ["T%d" % v for v in range(l + 2, n + 1)] + ["BS"] + [
+        "B%d" % v for v in range(l + 2, n + 1)
+    ]
+    out = []
+    for blocks in set_partitions(objs):
+        coded = []
+        for b in blocks:
+            cb = []
+            for o in b:
+                if o == "TS":
+                    cb.extend(range(l + 1))
+                elif o == "BS":
+                    cb.extend(range(n, n + l + 1))
+                elif o[0] == "T":
+                    cb.append(int(o[1:]) - 1)
+                else:
+                    cb.append(n + int(o[1:]) - 1)
+            coded.append(cb)
+        d = dg.Diagram(n, n, dg._canonical(coded))
+        if dg.is_l_tone(d, l):
+            out.append(d)
+    return sorted(out)
+
+
+def test_corner_basis_matches_filter_route():
+    for l in range(1, 4):
+        for n in range(l + 1, l + 5):
+            assert corner_basis(l, n) == _corner_filter_route(l, n), (l, n)
+
+
+def test_basis_count_at_3_6():
+    # 36,243 also equals the sum of squared standard-module dimensions
+    assert len(enumerate_basis(3, 6, 6)) == 36243
+    assert sum_of_squares_check(3, 6)
 
 
 def test_op_antiautomorphism():
