@@ -112,40 +112,6 @@ class DeltaPoly:
         out.c = {e + k: v for e, v in self.c.items()}
         return out
 
-    def divexact(self, other):
-        """Exact division; raises ArithmeticError if the remainder is nonzero.
-
-        Used by fraction-free (Bareiss) elimination, where divisibility is
-        guaranteed by construction.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return DeltaPoly()
-        rem = dict(self.c)
-        q = {}
-        dB = other.degree()
-        lB = other.c[dB]
-        while rem:
-            dR = max(rem)
-            if dR < dB:
-                raise ArithmeticError("inexact polynomial division")
-            lead = rem[dR]
-            if lead % lB != 0:
-                raise ArithmeticError("inexact polynomial division")
-            f = lead // lB
-            q[dR - dB] = f
-            for k, v in other.c.items():
-                kk = k + dR - dB
-                w = rem.get(kk, 0) - f * v
-                if w:
-                    rem[kk] = w
-                elif kk in rem:
-                    del rem[kk]
-        out = DeltaPoly()
-        out.c = q
-        return out
-
     def evaluate(self, x):
         """Evaluate at an exact point x (int or Fraction)."""
         if isinstance(x, int):

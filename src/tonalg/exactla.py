@@ -1,8 +1,10 @@
 """Small exact linear algebra helpers: integer/polynomial/rational matrices
-as lists of lists, fraction-free (Bareiss) elimination, and rational ranks.
+as lists of lists, and ranks and determinants from one fraction-free
+(Bareiss) elimination over the integers.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .deltapoly import DeltaPoly
 
@@ -75,59 +77,89 @@ def poly_mat_eq(A, B):
     return all(A[i][j] == B[i][j] for i in range(len(A)) for j in range(len(A[0]) if A else 0))
 
 
-def bareiss_det(M):
-    """(rank over Q(delta), determinant) of a DeltaPoly matrix by
-    fraction-free elimination (Bareiss 1968): columns without a pivot are
-    skipped, every division is exact, and row swaps flip the sign.  The
-    determinant is zero unless the matrix is square and of full rank."""
-    A = [row[:] for row in poly_mat(M)]
+def _bareiss(A):
+    """(rank, det) of an integer matrix by fraction-free elimination (Bareiss
+    1968), in place: columns without a pivot are skipped, every division is
+    exact, and row swaps flip the sign.  The determinant is zero unless the
+    matrix is square and of full rank; a 0x0 matrix gives (0, 1)."""
     if not A:
-        return 0, DeltaPoly.one()
+        return 0, 1
     rows, cols = len(A), len(A[0])
-    sign = 1
-    prev = DeltaPoly.one()
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if not A[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            sign = -sign
-        for i in range(r + 1, rows):
-            for j in range(col + 1, cols):
-                num = A[r][col] * A[i][j] - A[i][col] * A[r][j]
-                A[i][j] = num.divexact(prev)
-            A[i][col] = DeltaPoly.zero()
-        prev = A[r][col]
-        r += 1
-        if r == rows:
-            break
-    det = prev if r == rows == cols else DeltaPoly.zero()
-    return r, -det if sign < 0 else det
-
-
-def fraction_rank(M):
-    """Rank of a matrix with Fraction/int entries, by exact elimination."""
-    A = [[Fraction(x) for x in row] for row in M]
-    if not A:
-        return 0
-    rows, cols = len(A), len(A[0])
+    sign = prev = 1
     r = 0
     for col in range(cols):
         piv = next((i for i in range(r, rows) if A[i][col]), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        pr = A[r]
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
+        Ar = A[r]
+        p = Ar[col]
+        tail = Ar[col + 1:]
         for i in range(r + 1, rows):
-            if A[i][col]:
-                f = A[i][col] / pr[col]
-                A[i] = [a - f * b for a, b in zip(A[i], pr)]
+            Ai = A[i]
+            a = Ai[col]
+            Ai[col + 1:] = [(p * x - a * y) // prev for x, y in zip(Ai[col + 1:], tail)]
+            Ai[col] = 0
+        prev = p
         r += 1
         if r == rows:
             break
-    return r
+    return r, sign * prev if r == rows == cols else 0
+
+
+def _packing_width(P):
+    """b with 2H < 2**b, for H the bound in `bareiss_det`."""
+    H = 1
+    for row in P:
+        s = sum(sum(abs(c) for c in p.c.values()) ** 2 for p in row)
+        H *= isqrt(max(s, 1) - 1) + 1
+    return (2 * H).bit_length()
+
+
+def bareiss_det(M):
+    """(rank over Q(delta), determinant) of a DeltaPoly matrix, exactly, by
+    one integer elimination after the substitution delta = B = 2**b.
+
+    Evaluation at B is a ring homomorphism, so each minor m of M maps to the
+    same minor of M(B).  On |z| = 1, |p_ij(z)| <= ||p_ij||_1, so Hadamard's
+    inequality bounds |m(z)| by H = prod over rows of max(1, ceil(sqrt(sum_j
+    ||p_ij||_1^2))), and by Cauchy's formula every coefficient of m is at
+    most H in absolute value; b is taken with 2H < B.  A nonzero m of degree
+    k then has |m(B)| >= B^k - H(B^k - 1)/(B - 1) > 0, so M(B) and M have
+    the same rank, and det M, whose coefficients lie in (-B/2, B/2), is read
+    back from det M(B) as its balanced base-B digits.  A negative exponent
+    raises ValueError.
+    """
+    P = poly_mat(M)
+    if any(k < 0 for row in P for p in row for k in p.c):
+        raise ValueError("bareiss_det needs polynomials in delta, not negative powers")
+    b = _packing_width(P)
+    rank, N = _bareiss([[sum(c << (k * b) for k, c in p.c.items()) for p in row] for row in P])
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    coeffs = {}
+    k = 0
+    while N:
+        c = N & mask
+        if c >= half:
+            c -= 1 << b
+        coeffs[k] = c
+        N = (N - c) >> b
+        k += 1
+    return rank, DeltaPoly(coeffs)
+
+
+def fraction_rank(M):
+    """Rank of a matrix with Fraction/int entries: each row is scaled to
+    integers by the lcm of its denominators, which keeps the rank, and goes
+    through the integer elimination."""
+    A = []
+    for row in M:
+        row = [Fraction(x) for x in row]
+        L = lcm(*(x.denominator for x in row))
+        A.append([x.numerator * (L // x.denominator) for x in row])
+    return _bareiss(A)[0]
 
 
 def poly_mat_evaluate(M, x):

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from tonalg.deltapoly import DeltaPoly
 
 
@@ -20,14 +18,6 @@ def test_arithmetic():
     assert p + q == d * d - 2 * d + 1
     assert (p - p).is_zero()
     assert p.degree() == 2
-
-
-def test_divexact():
-    d = DeltaPoly.delta()
-    p = (d - 1) * (d - 1) * (d + 5)
-    assert p.divexact(d - 1) == (d - 1) * (d + 5)
-    with pytest.raises(ArithmeticError):
-        p.divexact(d - 2)
 
 
 def test_evaluate():

@@ -1,13 +1,93 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from tonalg import diagram as dg
+from tonalg import exactla
 from tonalg import gram as gr
 from tonalg.algebra import Element
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq
 from tonalg.standard_modules import all_labels, standard_module
+
+
+def _divexact(num, den):
+    """Exact division in Z[delta]; raises ArithmeticError on a remainder."""
+    rem = dict(num.c)
+    q = {}
+    dB = den.degree()
+    lB = den.c[dB]
+    while rem:
+        dR = max(rem)
+        if dR < dB or rem[dR] % lB:
+            raise ArithmeticError("inexact polynomial division")
+        f = rem[dR] // lB
+        q[dR - dB] = f
+        for k, v in den.c.items():
+            kk = k + dR - dB
+            w = rem.get(kk, 0) - f * v
+            if w:
+                rem[kk] = w
+            else:
+                rem.pop(kk, None)
+    return DeltaPoly(q)
+
+
+def poly_bareiss_oracle(M):
+    """(rank, det) by fraction-free elimination over Z[delta] itself."""
+    A = [row[:] for row in poly_mat(M)]
+    if not A:
+        return 0, DeltaPoly.one()
+    rows, cols = len(A), len(A[0])
+    sign = 1
+    prev = DeltaPoly.one()
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if not A[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
+        for i in range(r + 1, rows):
+            for j in range(col + 1, cols):
+                A[i][j] = _divexact(A[r][col] * A[i][j] - A[i][col] * A[r][j], prev)
+            A[i][col] = DeltaPoly.zero()
+        prev = A[r][col]
+        r += 1
+        if r == rows:
+            break
+    det = prev if r == rows == cols else DeltaPoly.zero()
+    return r, -det if sign < 0 else det
+
+
+def fraction_rank_oracle(M):
+    """Rank by Gaussian elimination over Fractions."""
+    A = [[Fraction(x) for x in row] for row in M]
+    if not A:
+        return 0
+    rows, cols = len(A), len(A[0])
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        pr = A[r]
+        for i in range(r + 1, rows):
+            if A[i][col]:
+                f = A[i][col] / pr[col]
+                A[i] = [a - f * b for a, b in zip(A[i], pr)]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+@lru_cache(maxsize=None)
+def _grams(l, n):
+    return tuple(gr.gram_matrix(mu, l, n) for mu in all_labels(l, n))
 
 
 def test_worked_four_by_four():
@@ -95,14 +175,46 @@ def test_elimination_matches_sympy_at_points():
             assert max(ranks) == rank, (l, n, mu, ranks)
 
 
+def test_bareiss_det_matches_polynomial_oracle():
+    grams = [g for l, n in [(2, 4), (3, 5), (2, 5)] for g in _grams(l, n)]
+    for g in grams + [gr.gram_matrix(((1,),), 1, 4)]:
+        assert bareiss_det(g.entries) == poly_bareiss_oracle(g.entries), (g.l, g.n, g.mu)
+
+
+def test_fraction_rank_matches_fraction_oracle():
+    for l, n in [(2, 5), (3, 5)]:
+        for g in _grams(l, n):
+            for x in (1, 2, Fraction(1, 2), Fraction(-3, 2), gr.GENERIC_POINT):
+                E = g.evaluate(x)
+                assert fraction_rank(E) == fraction_rank_oracle(E), (l, n, g.mu, x)
+
+
+def test_too_narrow_packing_breaks_the_oracle_comparison(monkeypatch):
+    # negative control: B = 2**4 cannot hold the determinants' coefficients
+    monkeypatch.setattr(exactla, "_packing_width", lambda P: 4)
+    assert any(bareiss_det(g.entries) != poly_bareiss_oracle(g.entries) for g in _grams(2, 4))
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError):
+        bareiss_det([[DeltaPoly.delta(-1)]])
+
+
 def test_elimination_of_singular_and_nonsquare_matrices():
     d = DeltaPoly.delta(1)
     rank, det = bareiss_det(poly_mat([[d, 1, 0], [d, 1, 0], [0, d, 1]]))
     assert rank == 2 and det.is_zero()
     rank, det = bareiss_det(poly_mat([[0, 1, d], [1, 0, 0]]))
     assert rank == 2 and det.is_zero()
+    assert bareiss_det(poly_mat([[d, 0], [0, 0], [1, d]])) == (2, DeltaPoly.zero())
+    assert bareiss_det(poly_mat([[0] * 3] * 3)) == (0, DeltaPoly.zero())
+    assert bareiss_det([]) == (0, DeltaPoly.one())
+    assert fraction_rank([]) == 0
     # one row swap flips the sign
     assert bareiss_det(poly_mat([[0, 1], [d, 0]])) == (2, -d)
+    # large coefficients of both signs unpack as balanced digits
+    big = poly_mat([[d - 2 ** 61, 1], [1, d + 2 ** 61]])
+    assert bareiss_det(big) == (2, d * d - (2 ** 122 + 1)) == poly_bareiss_oracle(big)
 
 
 def test_certificate_falls_back_to_elimination():
