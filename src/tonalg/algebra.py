@@ -193,6 +193,33 @@ def tone_partitions(charges, l):
     return rec(tuple(range(len(charges))), ())
 
 
+def sandwich_middles(a, b, l):
+    """Middle diagrams c of shape (a.m, b.n) with {a*c*b} = {a*p*b} up to
+    powers of delta, p over all l-tone diagrams of shape (a.m, b.n).
+
+    The items are a's bottom parts (the bottom vertices of each block of a
+    meeting its bottom row), charged +size, then b's top parts, charged
+    -size, each list in least-vertex order; c runs over tone_partitions of
+    the items, each block expanded to its vertices.  With every part a run
+    of consecutive vertices the output is in canonical diagram order.
+
+    Exact: in a*p*b, a's blocks already join the vertices of each of a's
+    bottom parts and b's blocks those of each of b's top parts, so up to
+    the power of delta a*p*b depends on p only through the join c of p
+    with the partition into parts.  Each block of c is a union of l-tone
+    blocks of p, so c is an l-tone partition of the parts; conversely every
+    such c is an l-tone diagram equal to its own join, so it is one of the
+    p.  Only the delta exponent of a*p*b is lost.
+    """
+    tops = sorted(tuple(v - a.n for v in blk if v >= a.n) for blk in a.blocks if blk[-1] >= a.n)
+    bottoms = sorted(tuple(v + a.m for v in blk if v < b.n) for blk in b.blocks if blk[0] < b.n)
+    objs = tops + bottoms
+    for part in tone_partitions([len(o) for o in tops] + [-len(o) for o in bottoms], l):
+        yield dg.Diagram(
+            a.m, b.n, tuple(tuple(sorted(v for o in blk for v in objs[o])) for blk in part)
+        )
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(l, n, m):
     """All l-tone diagrams of shape (n, m), in canonical order."""

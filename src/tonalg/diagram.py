@@ -53,9 +53,6 @@ class Diagram:
     def __repr__(self):
         return "Diagram(%r)" % serialize(self)
 
-    def vertex_name(self, v):
-        return "T%d" % (v + 1) if v < self.n else "B%d" % (v - self.n + 1)
-
     def size(self):
         return self.n + self.m
 

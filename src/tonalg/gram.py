@@ -80,10 +80,13 @@ class GramMatrix:
         F = mod.rep.form
         entries = [[DeltaPoly.zero() for _ in range(self.dim)] for _ in range(self.dim)]
         self.block_exponents = {}
-        for i, ti in enumerate(mod.t_diagrams):
+        # the matrix is symmetric: build the blocks with i <= j and fill
+        # block (j, i) with the transpose of block (i, j)
+        ts = mod.t_diagrams
+        for i, ti in enumerate(ts):
             fi = dg.flip(ti)
-            for j, tj in enumerate(mod.t_diagrams):
-                k, g = dg.compose(fi, tj)
+            for j in range(i, len(ts)):
+                k, g = dg.compose(fi, ts[j])
                 sigma = _sandwich_matching(g, mod.mvec, l, n)
                 if sigma is None:
                     continue
@@ -92,11 +95,14 @@ class GramMatrix:
                 blk = int_mat_mul(
                     F, mod.rep.matrix(tuple(perm_inverse(p) for p in sigma))
                 )
-                self.block_exponents[(i, j)] = k
+                self.block_exponents[(i, j)] = self.block_exponents[(j, i)] = k
                 for a in range(r):
                     for b in range(r):
                         if blk[a][b]:
-                            entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
+                            e = DeltaPoly.delta(k, blk[a][b])
+                            entries[i * r + a][j * r + b] = e
+                            if j > i:
+                                entries[j * r + b][i * r + a] = e
         self.entries = entries
 
     def evaluate(self, x):

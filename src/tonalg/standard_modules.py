@@ -18,7 +18,7 @@ from itertools import combinations
 from .deltapoly import DeltaPoly
 from . import diagram as dg
 from . import gamma
-from .algebra import Element, enumerate_basis, set_partitions, tone_partitions
+from .algebra import Element, enumerate_basis, sandwich_middles, set_partitions
 from .symmetric import (
     outer_rep,
     hook_dim,
@@ -400,22 +400,12 @@ def sum_of_squares_check(l, n):
 
 
 def corner_basis(l, n):
-    """Diagram basis of the compression by the (l+1)-strand joiner: all
+    """Diagram basis of the compression by the (l+1)-strand joiner W_b: all
     l-tone diagrams whose first l+1 top vertices lie in one block and whose
-    first l+1 bottom vertices lie in one block.
-
-    Each supernode (tops 1..l+1, bottoms 1..l+1) is one item of charge
-    +-(l+1); items expand to runs of coded vertices in item order, so the
-    order of tone_partitions is the canonical order of the diagrams."""
-    if n < l + 1:
-        raise dg.DiagramError("need n >= l+1")
-    tops = [tuple(range(l + 1))] + [(v,) for v in range(l + 1, n)]
-    bottoms = [tuple(range(n, n + l + 1))] + [(v,) for v in range(n + l + 1, 2 * n)]
-    objs = tops + bottoms
-    return [
-        dg.Diagram(n, n, tuple(tuple(v for o in b for v in objs[o]) for b in part))
-        for part in tone_partitions([len(o) for o in tops] + [-len(o) for o in bottoms], l)
-    ]
+    first l+1 bottom vertices lie in one block, in canonical order.  These
+    are the sandwich middles of W_b on both sides."""
+    wb = dg.W_b(l, n)
+    return list(sandwich_middles(wb, wb, l))
 
 
 def corner_compression_check(l, n):

@@ -7,7 +7,7 @@ from math import factorial
 
 from . import diagram as dg
 from . import gamma
-from .algebra import enumerate_basis
+from .algebra import enumerate_basis, sandwich_middles
 from .standard_modules import InvariantError, transversal
 
 
@@ -89,18 +89,37 @@ def section_label_sets(l, n):
     return out
 
 
-def corner_group_check(mvec, l, n, counts=None):
+def corner_group_check(mvec, l, n):
     """The sandwich of the basis by the absorbing idempotent spans exactly
     the matching diagrams, multiplying like the product of symmetric groups.
 
-    Returns (ok, dimension): dimension = prod(m_i!)."""
+    Returns (ok, dimension): dimension = prod(m_i!).
+
+    The survivors are the b_m*c*b_m of vector m, c over
+    sandwich_middles(b_m, b_m, l): the same set as over the whole basis.
+    The table composes each generator with each survivor, the generators
+    being the survivor whose matching is the identity and those whose
+    matching is one adjacent transposition in one class.  This is exact:
+
+    * `match` is injective and maps into G = prod S_{m_i}, which has as
+      many elements as there are survivors, so it is a bijection onto G;
+    * the generators' images generate G;
+    * the check gives g*q = delta^0 r with r a survivor and match(r) =
+      match(g) then match(q) for every generator g and survivor q, so by
+      injectivity every survivor is a word in the generators applied to
+      the identity survivor e, and e*q = q;
+    * compose is associative with delta exponents adding, so a product of
+      two survivors is that word applied to the second one: it closes with
+      k = 0, and match is a homomorphism (into the opposite group) for
+      every pair.
+    """
     if not any(mvec):
         return True, 1
     bm = dg.b_m(mvec, l, n)
     survivors = set()
-    for p in enumerate_basis(l, n, n):
-        _, q1 = dg.compose(bm, p)
-        k2, q2 = dg.compose(q1, bm)
+    for c in sandwich_middles(bm, bm, l):
+        _, q1 = dg.compose(bm, c)
+        _, q2 = dg.compose(q1, bm)
         if dg.prop_vector(q2, l) == mvec:
             survivors.add(q2)
     want = 1
@@ -108,8 +127,6 @@ def corner_group_check(mvec, l, n, counts=None):
         want *= factorial(x)
     if len(survivors) != want:
         return False, want
-    # multiplication table: sandwich elements close with no delta and the
-    # matchings compose like the (opposite) product of symmetric groups
     elems = sorted(survivors)
     match = {}
     for q in elems:
@@ -117,19 +134,28 @@ def corner_group_check(mvec, l, n, counts=None):
         if sig is None:
             return False, want
         match[q] = sig
-    if len(set(match.values())) != want:
+    by_match = {s: q for q, s in match.items()}
+    if len(by_match) != want:
         return False, want
-    for q1 in elems:
-        for q2 in elems:
-            k, r = dg.compose(q1, q2)
-            if k != 0 or r not in survivors:
+    ident = tuple(tuple(range(x)) for x in mvec)
+    gens = [by_match[ident]]
+    for i, x in enumerate(mvec):
+        for j in range(x - 1):
+            s = list(ident)
+            s[i] = ident[i][:j] + (j + 1, j) + ident[i][j + 2:]
+            gens.append(by_match[tuple(s)])
+    for g in gens:
+        s1 = match[g]
+        for q in elems:
+            k, r = dg.compose(g, q)
+            if k != 0 or r not in match:
                 return False, want
-            s1, s2, sr = match[q1], match[q2], match[r]
+            s2 = match[q]
             comp = tuple(
                 tuple(s2[i][s1[i][k_]] for k_ in range(len(s1[i])))
                 for i in range(l)
             )
-            if comp != sr:
+            if comp != match[r]:
                 return False, want
     return True, want
 

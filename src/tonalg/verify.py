@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import diagram as dg
 from . import gamma
-from .algebra import Element, enumerate_basis, reduce_mod_below
+from .algebra import Element, enumerate_basis, reduce_mod_below, sandwich_middles
 from .deltapoly import DeltaPoly
 from .exactla import poly_mat_mul, poly_mat_eq, identity_matrix, poly_mat
 from .standard_modules import (
@@ -155,16 +155,30 @@ def check_matching_group_corner(l, n):
 
 
 def check_lower_ideal_product(l, n):
-    basis = enumerate_basis(l, n, n)
+    """a_m' * p * a_m lies strictly below m for every basis diagram p and
+    every pair with m not below m'.
+
+    Two stages, each exact:
+
+    * the products a_m' * p are, up to delta, the a_m' * c for c over
+      sandwich_middles(a_m', identity(n), l) (see there);
+    * prop_vector(q1 * a_m) depends on q1 only through its bottom profile
+      from polar_decompose, by the signature argument of pairwise_closure,
+      so one q1 per bottom profile is composed with each a_m.
+    """
     g = gamma.gamma_set(l, n)
-    for m in g:
-        am = dg.a_m(m, l, n)
-        for mp in g:
-            if gamma.poset_leq(m, mp, l):
-                continue
-            amp = dg.a_m(mp, l, n)
-            for p in basis:
-                _, q1 = dg.compose(amp, p)
+    one = dg.identity(n)
+    for mp in g:
+        not_below = [m for m in g if not gamma.poset_leq(m, mp, l)]
+        if not not_below:
+            continue
+        amp = dg.a_m(mp, l, n)
+        reps = {}
+        for q1 in dict.fromkeys(dg.compose(amp, c)[1] for c in sandwich_middles(amp, one, l)):
+            reps.setdefault(polar_decompose(q1, l)[2], q1)
+        for m in not_below:
+            am = dg.a_m(m, l, n)
+            for q1 in reps.values():
                 _, q2 = dg.compose(q1, am)
                 if not gamma.poset_lt(dg.prop_vector(q2, l), m, l):
                     return False

@@ -8,8 +8,9 @@ from tonalg import exactla
 from tonalg import gram as gr
 from tonalg.algebra import Element
 from tonalg.deltapoly import DeltaPoly
-from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq
+from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq, int_mat_mul
 from tonalg.standard_modules import all_labels, standard_module
+from tonalg.symmetric import perm_inverse
 
 
 def _divexact(num, den):
@@ -329,3 +330,35 @@ def test_gram_report():
     assert rep["rank_at"] == 1
     assert rep["generic_rank"] == 4
     assert rep["det_str"] == "d^3 - 3*d^2 + 3*d - 1"
+
+
+def ordered_pair_gram(mu, l, n):
+    """(entries, block_exponents) built over every ordered pair (i, j) of
+    transversal diagrams, with no use of symmetry."""
+    mod = standard_module(mu, l, n)
+    r = mod.rep.dim
+    entries = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
+    exps = {}
+    for i, ti in enumerate(mod.t_diagrams):
+        fi = dg.flip(ti)
+        for j, tj in enumerate(mod.t_diagrams):
+            k, g = dg.compose(fi, tj)
+            sigma = gr._sandwich_matching(g, mod.mvec, l, n)
+            if sigma is None:
+                continue
+            blk = int_mat_mul(mod.rep.form, mod.rep.matrix(tuple(perm_inverse(p) for p in sigma)))
+            exps[(i, j)] = k
+            for a in range(r):
+                for b in range(r):
+                    if blk[a][b]:
+                        entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
+    return entries, exps
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5), (2, 5)])
+def test_gram_build_matches_ordered_pairs(l, n):
+    for mu in all_labels(l, n):
+        g = gr.gram_matrix(mu, l, n)
+        entries, exps = ordered_pair_gram(g.mu, l, n)
+        assert g.entries == entries, mu
+        assert g.block_exponents == exps, mu

@@ -5,7 +5,7 @@ import pytest
 from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import structure as st
-from tonalg.algebra import enumerate_basis
+from tonalg.algebra import enumerate_basis, sandwich_middles
 from tonalg.standard_modules import InvariantError
 
 
@@ -100,3 +100,96 @@ def test_section_checks_raises_on_non_idempotent_generator(monkeypatch):
     monkeypatch.setattr(st.dg, "compose", lambda p, q: (0, dg.identity(p.n)))
     with pytest.raises(InvariantError):
         st.section_checks(2, 4)
+
+
+def plain_corner_group_check(mvec, l, n):
+    """The plain route: sandwich every basis diagram, then compose every
+    survivor with every survivor."""
+    if not any(mvec):
+        return True, 1
+    bm = dg.b_m(mvec, l, n)
+    survivors = set()
+    for p in enumerate_basis(l, n, n):
+        _, q1 = dg.compose(bm, p)
+        _, q2 = dg.compose(q1, bm)
+        if dg.prop_vector(q2, l) == mvec:
+            survivors.add(q2)
+    want = 1
+    for x in mvec:
+        want *= factorial(x)
+    if len(survivors) != want:
+        return False, want
+    elems = sorted(survivors)
+    match = {}
+    for q in elems:
+        sig = st._matching_of(q, bm, mvec, l, n)
+        if sig is None:
+            return False, want
+        match[q] = sig
+    if len(set(match.values())) != want:
+        return False, want
+    for q1 in elems:
+        for q2 in elems:
+            k, r = dg.compose(q1, q2)
+            if k != 0 or r not in survivors:
+                return False, want
+            s1, s2, sr = match[q1], match[q2], match[r]
+            comp = tuple(
+                tuple(s2[i][s1[i][k_]] for k_ in range(len(s1[i])))
+                for i in range(l)
+            )
+            if comp != sr:
+                return False, want
+    return True, want
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5)])
+def test_corner_group_check_matches_plain_loop(l, n):
+    for m in gamma.gamma_set(l, n):
+        assert st.corner_group_check(m, l, n) == plain_corner_group_check(m, l, n), m
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
+def test_corner_sweep_matches_plain_images(l, n):
+    basis = enumerate_basis(l, n, n)
+    for m in gamma.gamma_set(l, n):
+        if not any(m):
+            continue
+        bm = dg.b_m(m, l, n)
+        left = {dg.compose(bm, p)[1] for p in basis}
+        plain = {dg.compose(q, bm)[1] for q in left}
+        sweep = {dg.compose(dg.compose(bm, c)[1], bm)[1] for c in sandwich_middles(bm, bm, l)}
+        assert sweep == plain, m
+
+
+@pytest.mark.parametrize("mvec,l,n", [((3, 1), 2, 5), ((2, 2), 2, 6), ((2, 0, 1), 3, 5)])
+def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
+    # a compose that is wrong only with one generator as the left factor is
+    # caught, for the identity survivor and for each adjacent transposition
+    bm = dg.b_m(mvec, l, n)
+    survivors = {}
+    for c in sandwich_middles(bm, bm, l):
+        q = dg.compose(dg.compose(bm, c)[1], bm)[1]
+        if dg.prop_vector(q, l) == mvec:
+            survivors[st._matching_of(q, bm, mvec, l, n)] = q
+    ident = tuple(tuple(range(x)) for x in mvec)
+    gens = [ident]
+    for i, x in enumerate(mvec):
+        for j in range(x - 1):
+            s = list(ident)
+            s[i] = ident[i][:j] + (j + 1, j) + ident[i][j + 2:]
+            gens.append(tuple(s))
+    want = len(survivors)
+    assert st.corner_group_check(mvec, l, n) == (True, want)
+    compose = dg.compose
+    for s in gens:
+        g = survivors[s]
+
+        def faulty(p, q, g=g):
+            k, r = compose(p, q)
+            return (k + 1, r) if p == g else (k, r)
+
+        monkeypatch.setattr(st.dg, "compose", faulty)
+        assert st.corner_group_check(mvec, l, n) == (False, want), s
+        if n <= 5:
+            assert plain_corner_group_check(mvec, l, n) == (False, want), s

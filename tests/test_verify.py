@@ -3,7 +3,7 @@ import pytest
 from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import verify
-from tonalg.algebra import enumerate_basis
+from tonalg.algebra import enumerate_basis, sandwich_middles
 from tonalg.standard_modules import polar_decompose
 from tonalg.verify import pairwise_closure
 
@@ -69,3 +69,38 @@ def test_wrong_products_break_the_bottleneck(monkeypatch):
     assert tone_ok is True
     assert bottleneck_ok is False
     assert not verify.check_tone_closure(2, 3)
+
+
+SWEEP_CASES = [(1, 3), (2, 4), (3, 4), (2, 5), (3, 5)]
+
+
+def middle_images(a, b, l):
+    """{a * c * b} up to delta, c over sandwich_middles(a, b, l)."""
+    return {dg.compose(dg.compose(a, c)[1], b)[1] for c in sandwich_middles(a, b, l)}
+
+
+@pytest.mark.parametrize("l,n", SWEEP_CASES)
+def test_lower_ideal_sweep_matches_plain_images(l, n):
+    # plain route: a_m' * p for every basis diagram p, then * a_m
+    basis = enumerate_basis(l, n, n)
+    g = gamma.gamma_set(l, n)
+    ams = {m: dg.a_m(m, l, n) for m in g}
+    one = dg.identity(n)
+    for mp, amp in ams.items():
+        left = {dg.compose(amp, p)[1] for p in basis}
+        assert {dg.compose(amp, c)[1] for c in sandwich_middles(amp, one, l)} == left
+        # the second stage keeps one q1 per bottom profile
+        reps = {}
+        for q in sorted(left):
+            reps.setdefault(polar_decompose(q, l)[2], q)
+        for m, am in ams.items():
+            plain = {dg.compose(q, am)[1] for q in left}
+            assert middle_images(amp, am, l) == plain, (mp, m)
+            kept = {dg.prop_vector(dg.compose(q, am)[1], l) for q in reps.values()}
+            assert kept == {dg.prop_vector(d, l) for d in plain}, (mp, m)
+
+
+def test_lower_ideal_product_fails_on_wrong_products(monkeypatch):
+    assert verify.check_lower_ideal_product(2, 4)
+    monkeypatch.setattr(verify.dg, "compose", lambda p, q: (0, dg.identity(p.n)))
+    assert not verify.check_lower_ideal_product(2, 4)
