@@ -220,12 +220,18 @@ def sandwich_middles(a, b, l):
         )
 
 
+def basis_blocks(l, n, m):
+    """The canonical block tuples of all l-tone diagrams of shape (n, m), in
+    canonical order, generated lazily; the sizes are checked at once."""
+    if n < 0 or m < 0:
+        raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
+    return tone_partitions([1] * n + [-1] * m, l)
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(l, n, m):
     """All l-tone diagrams of shape (n, m), in canonical order."""
-    if n < 0 or m < 0:
-        raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
-    return tuple(dg.Diagram(n, m, b) for b in tone_partitions([1] * n + [-1] * m, l))
+    return tuple(dg.Diagram(n, m, b) for b in basis_blocks(l, n, m))
 
 
 def reduce_mod_below(x, mvec):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import diagram as dg
 from . import gamma as gamma_mod
-from .algebra import enumerate_basis
+from .algebra import basis_blocks
 from .branching import bratteli
 from .gram import gram_report
 from .standard_modules import standard_module, generator_diagrams
@@ -81,23 +81,16 @@ def cmd_compose(args):
 
 
 def cmd_basis(args):
-    m = args.n if args.m is None else args.m
-    basis = enumerate_basis(args.l, args.n, m)
+    n = args.n
+    m = n if args.m is None else args.m
+    # straight from the generator: no Diagram objects, one text per block
+    diagrams = [dg.serialize_blocks(n, m, b) for b in basis_blocks(args.l, n, m)]
     if args.format == "csv":
-        lines = ["diagram"] + [dg.serialize(d) for d in basis]
-        _emit(args, "\n".join(lines))
+        _emit(args, "\n".join(["diagram"] + diagrams))
     else:
         _emit(
             args,
-            _json(
-                {
-                    "l": args.l,
-                    "n": args.n,
-                    "m": m,
-                    "count": len(basis),
-                    "diagrams": [dg.serialize(d) for d in basis],
-                }
-            ),
+            _json({"l": args.l, "n": n, "m": m, "count": len(diagrams), "diagrams": diagrams}),
         )
     return 0
 

@@ -12,6 +12,7 @@ takes connected components, and records one factor of delta for every
 component made of middle vertices only.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
@@ -113,11 +114,36 @@ def _vertex_names(n, m):
     return tuple(["T%d" % (i + 1) for i in range(n)] + ["B%d" % (j + 1) for j in range(m)])
 
 
+class _BlockTexts(dict):
+    """Block tuple -> its `T1,T2,B3` text, for one shape; filled on lookup."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, n, m):
+        self.names = _vertex_names(n, m)
+
+    def __missing__(self, block):
+        text = self[block] = ",".join([self.names[v] for v in block])
+        return text
+
+
+@lru_cache(maxsize=None)
+def _block_texts(n, m):
+    # keyed by shape too: the same coded block names different vertices in
+    # different shapes, e.g. (0, 1) is T1,T2 in (2,0) and T1,B1 in (1,1)
+    return _BlockTexts(n, m)
+
+
+def serialize_blocks(n, m, blocks):
+    """Text form `n,m|b1;b2;...` of canonical coded blocks of shape (n, m),
+    with vertices as Ti/Bj tokens; each block's text is built once per shape."""
+    texts = _block_texts(n, m)
+    return "%d,%d|%s" % (n, m, ";".join([texts[b] for b in blocks]))
+
+
 def serialize(d):
     """Text form `n,m|b1;b2;...` with vertices as Ti/Bj tokens."""
-    names = _vertex_names(d.n, d.m)
-    body = ";".join([",".join([names[v] for v in b]) for b in d.blocks])
-    return "%d,%d|%s" % (d.n, d.m, body)
+    return serialize_blocks(d.n, d.m, d.blocks)
 
 
 def parse(text):
@@ -179,7 +205,9 @@ def compose(p, q):
         r = find(la[n + i])
         if r not in groups:
             middle_roots.add(r)
-    return ScaledDiagram(len(middle_roots), Diagram(n, k, _canonical(groups.values())))
+    # vertices were visited in increasing order, so each group is sorted and
+    # the groups run by least vertex: the blocks are already canonical
+    return ScaledDiagram(len(middle_roots), Diagram(n, k, tuple(map(tuple, groups.values()))))
 
 
 def tensor(p, q):
@@ -239,13 +267,19 @@ def block_class(block, n, l):
 
 
 def prop_vector(p, l):
-    """Tuple (m_1, ..., m_l): m_i = number of propagating blocks of class i."""
-    if not is_l_tone(p, l):
-        raise DiagramError("diagram is not %d-tone" % l)
+    """Tuple (m_1, ..., m_l): m_i = number of propagating blocks of class i.
+
+    One pass: a sorted block's top count t is where its bottoms begin; the
+    block is tone iff t - (len - t) = 0 mod l, and of class (t - 1) % l + 1.
+    """
+    n = p.n
     out = [0] * l
     for b in p.blocks:
-        if is_propagating(b, p.n):
-            out[block_class(b, p.n, l) - 1] += 1
+        t = bisect_left(b, n)
+        if (2 * t - len(b)) % l:
+            raise DiagramError("diagram is not %d-tone" % l)
+        if 0 < t < len(b):
+            out[(t - 1) % l] += 1
     return tuple(out)
 
 

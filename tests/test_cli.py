@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from tonalg import diagram as dg
+from tonalg.algebra import enumerate_basis
 from tonalg.cli import main, parse_mu, parse_rational
 from fractions import Fraction
 
@@ -44,6 +46,22 @@ def test_basis(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["count"] == 4
+
+
+def test_basis_output_matches_serialized_diagrams(capsys):
+    # the generator route against serialize over enumerate_basis, byte for byte
+    for l in range(1, 5):
+        for n in range(5):
+            for m in range(5):
+                texts = [dg.serialize(d) for d in enumerate_basis(l, n, m)]
+                code, out = run_cli(capsys, ["basis", "--l", str(l), "--n", str(n), "--m", str(m)])
+                assert code == 0
+                obj = {"l": l, "n": n, "m": m, "count": len(texts), "diagrams": texts}
+                assert out == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+                argv = ["basis", "--l", str(l), "--n", str(n), "--m", str(m), "--format", "csv"]
+                code, out = run_cli(capsys, argv)
+                assert code == 0
+                assert out == "\n".join(["diagram"] + texts) + "\n"
 
 
 def test_gamma_json_matches_worked_levels(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tonalg import diagram as dg
-from tonalg.algebra import enumerate_basis
+from tonalg.algebra import basis_blocks, enumerate_basis
 
 
 def test_make_diagram_identity():
@@ -110,6 +110,31 @@ def _gamma(l, n):
 def test_prop_vector_rejects_bad_tone():
     with pytest.raises(dg.DiagramError):
         dg.prop_vector(dg.epsilon(1, 3), 2)
+    # the bad block need not propagate: a lone top pair at l = 3
+    with pytest.raises(dg.DiagramError):
+        dg.prop_vector(dg.Diagram(2, 1, ((0, 1), (2,))), 3)
+    with pytest.raises(dg.DiagramError):
+        dg.prop_vector(dg.Diagram(1, 0, ((0,),)), 2)
+
+
+def _prop_vector_two_pass(p, l):
+    # the earlier definition: a tone check over every block, then a second
+    # walk classifying the propagating blocks
+    if not dg.is_l_tone(p, l):
+        raise dg.DiagramError("diagram is not %d-tone" % l)
+    out = [0] * l
+    for b in p.blocks:
+        if dg.is_propagating(b, p.n):
+            out[dg.block_class(b, p.n, l) - 1] += 1
+    return tuple(out)
+
+
+def test_prop_vector_matches_two_pass_definition():
+    for l in range(1, 5):
+        for n in range(5):
+            for m in range(5):
+                for d in enumerate_basis(l, n, m):
+                    assert dg.prop_vector(d, l) == _prop_vector_two_pass(d, l), (l, d)
 
 
 def test_builder_layout():
@@ -222,6 +247,62 @@ def test_composition_closure_random():
             p, q = rng.choice(basis), rng.choice(basis)
             _, d = dg.compose(p, q)
             assert dg.is_l_tone(d, l)
+
+
+def _compose_resorting(p, q):
+    # the earlier compose, which re-sorted the components it found
+    n, mid, k = p.n, p.m, q.m
+    la, lb = dg.labels(p), dg.labels(q)
+    na = len(p.blocks)
+    parent = list(range(na + len(q.blocks)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(mid):
+        ra, rb = find(la[n + i]), find(na + lb[i])
+        if ra != rb:
+            parent[rb] = ra
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(la[v]), []).append(v)
+    for v in range(k):
+        groups.setdefault(find(na + lb[mid + v]), []).append(n + v)
+    loops = {find(la[n + i]) for i in range(mid)} - set(groups)
+    return len(loops), dg.Diagram(n, k, dg._canonical(groups.values()))
+
+
+def test_compose_output_is_canonical_without_resorting():
+    rng = random.Random(7)
+    cases = [(1, 4, 4, 4), (2, 5, 5, 5), (3, 5, 5, 5), (1, 3, 2, 4), (2, 4, 2, 0), (2, 1, 3, 5), (1, 0, 2, 3)]
+    for l, n, mid, k in cases:
+        left, right = enumerate_basis(l, n, mid), enumerate_basis(l, mid, k)
+        pairs = 2000 if n == mid == k else 300
+        for _ in range(pairs):
+            p, q = rng.choice(left), rng.choice(right)
+            scaled = dg.compose(p, q)
+            assert scaled.diagram.blocks == dg._canonical(scaled.diagram.blocks), (p, q)
+            assert tuple(scaled) == _compose_resorting(p, q), (p, q)
+
+
+def test_serialize_blocks_memo_is_per_shape():
+    # the same coded block names different vertices in different shapes, so
+    # a memo keyed by the block alone would hand one shape the other's text
+    assert dg.serialize_blocks(2, 0, ((0, 1),)) == "2,0|T1,T2"
+    assert dg.serialize_blocks(1, 1, ((0, 1),)) == "1,1|T1,B1"
+    assert dg.serialize_blocks(2, 0, ((0, 1),)) == "2,0|T1,T2"
+    assert dg.serialize_blocks(0, 2, ((0, 1),)) == "0,2|B1,B2"
+    assert dg.serialize_blocks(0, 0, ()) == "0,0|"
+
+
+def test_serialize_blocks_round_trip():
+    for l, n, m in [(1, 3, 2), (2, 4, 4), (3, 3, 6), (2, 0, 4)]:
+        for blocks in basis_blocks(l, n, m):
+            text = dg.serialize_blocks(n, m, blocks)
+            assert text == dg.serialize(dg.Diagram(n, m, blocks))
+            assert dg.parse(text) == dg.Diagram(n, m, blocks)
 
 
 def test_serialize_round_trip():
