@@ -69,7 +69,6 @@ from .standard_modules import (
     polar_recompose,
     left_ideal_reduce,
     sum_of_squares_check,
-    globalise_check,
 )
 from .gram import (
     GramMatrix,

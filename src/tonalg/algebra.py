@@ -128,34 +128,6 @@ class Element:
         return "Element(%s)" % " + ".join(bits)
 
 
-def set_partitions(items):
-    """All set partitions of the list `items`, one block list at a time.
-
-    Canonical generation: the block containing the least remaining item is
-    chosen first, so each partition is produced exactly once.
-    """
-    items = list(items)
-    if not items:
-        yield []
-        return
-    n = len(items)
-    labels = [0] * n
-    maxlab = [0] * n
-
-    def rec(i, top):
-        if i == n:
-            blocks = [[] for _ in range(top)]
-            for j, lab in enumerate(labels):
-                blocks[lab].append(items[j])
-            yield blocks
-            return
-        for lab in range(top + 1):
-            labels[i] = lab
-            yield from rec(i + 1, top + (1 if lab == top else 0))
-
-    yield from rec(1 if n else 0, 1 if n else 0)
-
-
 def tone_partitions(charges, l):
     """The partitions of range(len(charges)) whose blocks each have charge
     sum = 0 mod l (charges: a sequence of ints), as tuples of sorted block

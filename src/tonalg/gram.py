@@ -27,42 +27,10 @@ from .exactla import (
 from .symmetric import perm_inverse
 from .standard_modules import (
     standard_module,
-    bottom_pattern,
+    decompose_left_term,
     generator_diagrams,
     all_labels,
-    InvariantError,
 )
-
-
-def _sandwich_matching(d, mvec, l, n):
-    """Matching permutation of a diagram whose top and bottom rows both carry
-    the canonical layout; None when its vector drops below mvec."""
-    v = dg.prop_vector(d, l)
-    if v != mvec:
-        if gamma.poset_lt(v, mvec, l):
-            return None
-        raise InvariantError("incomparable vector %r in a Gram sandwich" % (v,))
-    slots, trailing = bottom_pattern(mvec, l, n)
-    bot_index = {}
-    top_index = {}
-    for i in range(l):
-        for k, blk in enumerate(slots[i]):
-            bot_index[blk] = (i, k)
-            top_index[tuple(x - n for x in blk)] = (i, k)
-    links = []
-    for b in d.blocks:
-        top = tuple(x for x in b if x < n)
-        bot = tuple(x for x in b if x >= n)
-        if top and bot:
-            it, kt = top_index[top]
-            ib, kb = bot_index[bot]
-            if it != ib:
-                raise InvariantError("class mismatch in a Gram sandwich")
-            links.append((it, kt, kb))
-    sigma = [[0] * mvec[i] for i in range(l)]
-    for i, kt, kb in links:
-        sigma[i][kt] = kb
-    return tuple(tuple(s) for s in sigma)
 
 
 class GramMatrix:
@@ -87,9 +55,10 @@ class GramMatrix:
             fi = dg.flip(ti)
             for j in range(i, len(ts)):
                 k, g = dg.compose(fi, ts[j])
-                sigma = _sandwich_matching(g, mod.mvec, l, n)
-                if sigma is None:
+                res = decompose_left_term(g, mod.mvec, l, n)
+                if res is None:
                     continue
+                sigma = res[1]
                 # the sandwich acts on the tableau factor exactly as in the
                 # module action: through the inverse of its slot matching
                 blk = int_mat_mul(

@@ -3,22 +3,28 @@ modules with exact generator action over Z[delta].
 
 A top profile is a set partition of the top row into flagged blocks (class i
 propagating, block size = i mod l, possibly enlarged by absorbed vertices)
-and unflagged blocks (size = 0 mod l, non-propagating).  The transversal
+and unflagged blocks (size = 0 mod l, non-propagating).  The canonical
+layout for a vector m is the bottom profile of a_m.  The transversal
 attaches the class-i flagged blocks, in least-vertex order, to the class-i
-designated bottom slots of the canonical bottom layout - the unique
-relatively non-crossing matching.  A general left-ideal diagram is a
-transversal element composed with a per-class matching permutation; reading
-the permutation off relative to least-vertex order gives the polar
-decomposition.
+designated bottom slots of that layout - the unique relatively non-crossing
+matching.  A general left-ideal diagram is a transversal element composed
+with a per-class matching permutation; reading the permutation off relative
+to least-vertex order gives the polar decomposition.
+
+polar_decompose is the one reader of a (top profile, sigma, bottom profile)
+triple and polar_recompose the one writer: the layout, the transversal
+diagrams, the matching diagrams, the left-ideal reduction, and the Gram and
+corner-group matchings all go through them.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
 from .deltapoly import DeltaPoly
 from . import diagram as dg
 from . import gamma
-from .algebra import Element, enumerate_basis, sandwich_middles, set_partitions
+from .algebra import enumerate_basis, sandwich_middles
 from .symmetric import (
     outer_rep,
     hook_dim,
@@ -37,216 +43,48 @@ def _require_vector(mvec, l, n):
 
 
 # ---------------------------------------------------------------------------
-# canonical bottom layout
-
-
-@lru_cache(maxsize=None)
-def bottom_pattern(mvec, l, n):
-    """Designated bottom slots of the canonical layout, plus trailing blocks.
-
-    Returns (slots, trailing): slots[i-1] is the list of class-i designated
-    bottom blocks (bottom-coded, least-vertex order); trailing is the set of
-    non-propagating bottom l-blocks.
-    """
-    _require_vector(mvec, l, n)
-    base = dg.a_m(mvec, l, n)
-    slots = [[] for _ in range(l)]
-    trailing = []
-    for b in base.blocks:
-        bot = tuple(v for v in b if v >= n)
-        if not bot:
-            continue
-        if dg.is_propagating(b, n):
-            cls = dg.block_class(b, n, l)
-            slots[cls - 1].append(bot)
-        else:
-            trailing.append(bot)
-    for s in slots:
-        s.sort()
-    trailing.sort()
-    return tuple(tuple(s) for s in slots), tuple(trailing)
-
-
-# ---------------------------------------------------------------------------
-# top profiles and the transversal
-
-
-@lru_cache(maxsize=None)
-def transversal(mvec, l, n):
-    """All top profiles for the given vector, canonically ordered.
-
-    A profile is a tuple of (block, cls) pairs sorted by least vertex, with
-    cls = 0 for unflagged blocks.  Blocks of size = c (mod l), c != 0, must
-    be flagged class c; blocks of size = 0 (mod l) are flagged class l or
-    left unflagged, giving the absorption choices.
-    """
-    _require_vector(mvec, l, n)
-    out = []
-    for blocks in set_partitions(range(n)):
-        by_res = {}
-        for b in blocks:
-            by_res.setdefault(len(b) % l, []).append(tuple(b))
-        ok = True
-        for c in range(1, l):
-            if len(by_res.get(c, ())) != mvec[c - 1]:
-                ok = False
-                break
-        if not ok:
-            continue
-        zeros = by_res.get(0, [])
-        if len(zeros) < mvec[l - 1]:
-            continue
-        for flagged in combinations(range(len(zeros)), mvec[l - 1]):
-            flagged = set(flagged)
-            prof = []
-            zi = 0
-            for b in blocks:
-                c = len(b) % l
-                if c:
-                    prof.append((tuple(b), c))
-                else:
-                    prof.append((tuple(b), l if zi in flagged else 0))
-                    zi += 1
-            out.append(tuple(sorted(prof)))
-    out.sort()
-    return tuple(out)
-
-
-def profile_diagram(profile, mvec, l, n):
-    """The diagram of a profile: canonical (order-preserving) matching of its
-    class-i flagged blocks onto the class-i designated bottom slots."""
-    slots, trailing = bottom_pattern(mvec, l, n)
-    used = [0] * l
-    blocks = []
-    for b, cls in profile:
-        if cls:
-            blocks.append(tuple(sorted(b + slots[cls - 1][used[cls - 1]])))
-            used[cls - 1] += 1
-        else:
-            blocks.append(b)
-    blocks.extend(trailing)
-    return dg.Diagram(n, n, dg._canonical(blocks))
-
-
-def transversal_diagrams(mvec, l, n):
-    return [profile_diagram(p, mvec, l, n) for p in transversal(mvec, l, n)]
-
-
-def w_sigma(sigma, mvec, l, n):
-    """Matching diagram on the canonical layout: class-i top slot k joined to
-    class-i bottom slot sigma[i-1][k]."""
-    slots, trailing = bottom_pattern(mvec, l, n)
-    tops = tuple(
-        tuple(tuple(v - n for v in blk) for blk in slots[i]) for i in range(l)
-    )
-    blocks = [tuple(sorted(t)) for t in trailing]
-    blocks.extend(tuple(v - n for v in t) for t in trailing)
-    for i in range(l):
-        for k, tb in enumerate(tops[i]):
-            blocks.append(tuple(sorted(tb + slots[i][sigma[i][k]])))
-    return dg.Diagram(n, n, dg._canonical(blocks))
-
-
-def decompose_left_term(d, mvec, l, n):
-    """Express a left-ideal diagram with the canonical bottom layout as
-    (profile, sigma), or None when its propagating vector drops below mvec.
-
-    Raises InvariantError when the vector neither equals mvec nor lies
-    strictly below it (impossible by the bottleneck order).
-    """
-    v = dg.prop_vector(d, l)
-    if v != mvec:
-        if gamma.poset_lt(v, mvec, l):
-            return None
-        raise InvariantError(
-            "vector %r incomparable with %r in a left-ideal reduction" % (v, mvec)
-        )
-    slots, trailing = bottom_pattern(mvec, l, n)
-    slot_index = {}
-    for i in range(l):
-        for k, blk in enumerate(slots[i]):
-            slot_index[blk] = (i, k)
-    trailing_set = set(trailing)
-    flagged = []
-    prof = []
-    for b in d.blocks:
-        bot = tuple(v_ for v_ in b if v_ >= n)
-        top = tuple(v_ for v_ in b if v_ < n)
-        if not top:
-            if bot not in trailing_set:
-                raise InvariantError("bottom layout violated: %r" % (bot,))
-            continue
-        if not bot:
-            if len(top) % l != 0:
-                raise InvariantError("unflagged top block of bad tone: %r" % (top,))
-            prof.append((top, 0))
-            continue
-        if bot not in slot_index:
-            raise InvariantError("merged designated slots: %r" % (bot,))
-        i, k = slot_index[bot]
-        prof.append((top, i + 1))
-        flagged.append((i, top[0], k))
-    sigma = []
-    for i in range(l):
-        cls = sorted((t0, k) for (ci, t0, k) in flagged if ci == i)
-        sigma.append(tuple(k for _, k in cls))
-    return tuple(sorted(prof)), tuple(sigma)
-
-
-def left_ideal_reduce(x, mvec):
-    """Reduce an Element supported on the left ideal: drop the terms whose
-    vector falls strictly below mvec, and express every survivor uniquely
-    as (coefficient, profile, sigma)."""
-    _require_vector(mvec, x.l, x.n)
-    out = []
-    for d, p in sorted(x.terms.items(), key=lambda kv: kv[0]):
-        res = decompose_left_term(d, mvec, x.l, x.n)
-        if res is None:
-            continue
-        prof, sigma = res
-        out.append((p, prof, sigma))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# polar decomposition of an arbitrary diagram with full vector
+# polar decomposition: the one reader and writer of (profile, sigma, profile)
 
 
 def polar_decompose(p, l):
-    """Factor p (square, vector m) as (top profile, sigma, bottom profile).
+    """Factor p (square, vector m) as (top profile, sigma, bottom profile, m).
 
-    sigma[i-1] maps the class-(i) top parts, in least-vertex order, to the
+    A profile is a tuple of (part, cls) pairs in least-vertex order, one per
+    block meeting that row: part is the block's vertices in the row (bottom
+    ones re-indexed from 0), cls its class, or 0 if it does not propagate.
+    sigma[i-1] maps the class-i top parts, in least-vertex order, to the
     class-i bottom parts in least-vertex order.
+
+    One pass over the canonical blocks, which come in least-vertex order, so
+    the top profile needs no sort; one rank dict then gives every sigma.
+    Raises DiagramError if p is not l-tone, as prop_vector does.
     """
     n = p.n
-    mvec = dg.prop_vector(p, l)
-    top_prof = []
-    bot_prof = []
-    links = []
+    top_prof, bot_prof, links = [], [], []
     for b in p.blocks:
-        top = tuple(v for v in b if v < n)
-        bot = tuple(v - n for v in b if v >= n)
-        if top and bot:
-            cls = dg.block_class(b, n, l)
-            top_prof.append((top, cls))
-            bot_prof.append((bot, cls))
-            links.append((cls, top[0], bot[0]))
-        elif top:
-            top_prof.append((top, 0))
+        t = bisect_left(b, n)
+        if (2 * t - len(b)) % l:
+            raise dg.DiagramError("diagram is not %d-tone" % l)
+        if t == len(b):
+            top_prof.append((b, 0))
+        elif t == 0:
+            bot_prof.append((tuple(v - n for v in b), 0))
         else:
-            bot_prof.append((bot, 0))
-    sigma = []
-    for i in range(1, l + 1):
-        tops = sorted(t for (c, t, _) in links if c == i)
-        bots = sorted(bb for (c, _, bb) in links if c == i)
-        tpos = {t: k for k, t in enumerate(tops)}
-        bpos = {bb: k for k, bb in enumerate(bots)}
-        perm = [0] * len(tops)
-        for c, t, bb in links:
-            if c == i:
-                perm[tpos[t]] = bpos[bb]
-        sigma.append(tuple(perm))
-    return tuple(sorted(top_prof)), tuple(sigma), tuple(sorted(bot_prof)), mvec
+            cls = (t - 1) % l + 1
+            bot = tuple(v - n for v in b[t:])
+            top_prof.append((b[:t], cls))
+            bot_prof.append((bot, cls))
+            links.append((cls, bot[0]))
+    bot_prof.sort()
+    rank, counts = {}, [0] * (l + 1)
+    for bot, cls in bot_prof:
+        if cls:
+            rank[bot[0]] = counts[cls]
+            counts[cls] += 1
+    sigma = [[] for _ in range(l)]
+    for cls, b0 in links:
+        sigma[cls - 1].append(rank[b0])
+    return tuple(top_prof), tuple(map(tuple, sigma)), tuple(bot_prof), tuple(counts[1:])
 
 
 def polar_recompose(top_prof, sigma, bot_prof, l, n):
@@ -270,6 +108,116 @@ def polar_recompose(top_prof, sigma, bot_prof, l, n):
         target = by_cls_bot[cls][sigma[cls - 1][k]]
         blocks.append(tuple(sorted(b + tuple(v + n for v in target))))
     return dg.Diagram(n, n, dg._canonical(blocks))
+
+
+@lru_cache(maxsize=None)
+def layout(mvec, l, n):
+    """The canonical bottom layout for mvec: the bottom profile of a_m."""
+    return polar_decompose(dg.a_m(mvec, l, n), l)[2]
+
+
+# ---------------------------------------------------------------------------
+# top profiles and the transversal
+
+
+@lru_cache(maxsize=None)
+def transversal(mvec, l, n):
+    """All top profiles for the given vector, canonically ordered.
+
+    A profile is a tuple of (block, cls) pairs sorted by least vertex, with
+    cls = 0 for unflagged blocks.  Blocks of size = c (mod l), c != 0, must
+    be flagged class c; blocks of size = 0 (mod l) are flagged class l or
+    left unflagged, giving the absorption choices.
+
+    Built block by block (restricted growth, as in tone_partitions): the
+    block holding the least remaining vertex runs over the subsets of what
+    is left, and a branch stops once the block's class is already full or
+    too few vertices are left for the flagged blocks still to place.
+    """
+    _require_vector(mvec, l, n)
+    out = []
+
+    @lru_cache(maxsize=None)
+    def blocks(rest):
+        # (block, what it leaves) for every block holding rest[0]
+        first, others = rest[0], rest[1:]
+        return [
+            ((first,) + extra, tuple(v for v in others if v not in extra))
+            for k in range(len(others) + 1)
+            for extra in combinations(others, k)
+        ]
+
+    def rec(rest, prof, left, need):
+        # left[c-1] class-c blocks still to place, each of >= c vertices,
+        # need = sum of c * left[c-1]
+        if need > len(rest):
+            return
+        if not rest:
+            out.append(prof)
+            return
+        for block, after in blocks(rest):
+            c = len(block) % l
+            if not c:
+                rec(after, prof + ((block, 0),), left, need)
+                c = l
+            if left[c - 1]:
+                now = left[: c - 1] + (left[c - 1] - 1,) + left[c:]
+                rec(after, prof + ((block, c),), now, need - c)
+
+    rec(tuple(range(n)), (), tuple(mvec), dg.gamma_member(mvec, l, n))
+    return tuple(sorted(out))
+
+
+def profile_diagram(profile, mvec, l, n):
+    """The diagram of a profile: canonical (order-preserving) matching of its
+    class-i flagged blocks onto the class-i designated bottom slots."""
+    return polar_recompose(profile, tuple(tuple(range(x)) for x in mvec), layout(mvec, l, n), l, n)
+
+
+def transversal_diagrams(mvec, l, n):
+    return [profile_diagram(p, mvec, l, n) for p in transversal(mvec, l, n)]
+
+
+def w_sigma(sigma, mvec, l, n):
+    """Matching diagram on the canonical layout: class-i top slot k joined to
+    class-i bottom slot sigma[i-1][k]."""
+    return polar_recompose(layout(mvec, l, n), sigma, layout(mvec, l, n), l, n)
+
+
+def decompose_left_term(d, mvec, l, n):
+    """Express a left-ideal diagram with the canonical bottom layout as
+    (profile, sigma), or None when its propagating vector drops below mvec.
+
+    Raises InvariantError when the vector neither equals mvec nor lies
+    strictly below it (impossible by the bottleneck order), or when the
+    bottom profile is not the canonical layout.
+    """
+    v = dg.prop_vector(d, l)
+    if v != mvec:
+        if gamma.poset_lt(v, mvec, l):
+            return None
+        raise InvariantError(
+            "vector %r incomparable with %r in a left-ideal reduction" % (v, mvec)
+        )
+    top, sigma, bottom, _ = polar_decompose(d, l)
+    if bottom != layout(mvec, l, n):
+        raise InvariantError("bottom layout violated: %r" % (bottom,))
+    return top, sigma
+
+
+def left_ideal_reduce(x, mvec):
+    """Reduce an Element supported on the left ideal: drop the terms whose
+    vector falls strictly below mvec, and express every survivor uniquely
+    as (coefficient, profile, sigma)."""
+    _require_vector(mvec, x.l, x.n)
+    out = []
+    for d, p in sorted(x.terms.items(), key=lambda kv: kv[0]):
+        res = decompose_left_term(d, mvec, x.l, x.n)
+        if res is None:
+            continue
+        prof, sigma = res
+        out.append((p, prof, sigma))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +428,6 @@ def globalise_module_check(mu, l, n):
                 if Mb[i][col] != want:
                     return False
     return True
-
-
-def globalise_check(mu, l, n):
-    """Corner compression plus the standard-module embedding for mu."""
-    return corner_compression_check(l, n) and globalise_module_check(mu, l, n)
 
 
 def vanishing_top_layer_check(l, n):

@@ -8,7 +8,7 @@ from math import factorial
 from . import diagram as dg
 from . import gamma
 from .algebra import enumerate_basis, sandwich_middles
-from .standard_modules import InvariantError, transversal
+from .standard_modules import InvariantError, polar_decompose, transversal
 
 
 class HeredityChain:
@@ -130,7 +130,7 @@ def corner_group_check(mvec, l, n):
     elems = sorted(survivors)
     match = {}
     for q in elems:
-        sig = _matching_of(q, bm, mvec, l, n)
+        sig = _matching_of(q, bm, l)
         if sig is None:
             return False, want
         match[q] = sig
@@ -160,31 +160,12 @@ def corner_group_check(mvec, l, n):
     return True, want
 
 
-def _matching_of(q, bm, mvec, l, n):
-    """Per-class matching of a diagram carrying the absorbing layout."""
-    tops = {}
-    bots = {}
-    for b in bm.blocks:
-        cls = dg.block_class(b, n, l)
-        tops.setdefault(cls, []).append(tuple(v for v in b if v < n))
-        bots.setdefault(cls, []).append(tuple(v for v in b if v >= n))
-    for c in tops:
-        tops[c].sort()
-        bots[c].sort()
-    sigma = []
-    for i in range(1, l + 1):
-        ti = {t: k for k, t in enumerate(tops.get(i, []))}
-        bi = {t: k for k, t in enumerate(bots.get(i, []))}
-        perm = [None] * mvec[i - 1]
-        for b in q.blocks:
-            top = tuple(v for v in b if v < n)
-            bot = tuple(v for v in b if v >= n)
-            if top in ti and bot in bi:
-                perm[ti[top]] = bi[bot]
-        if None in perm:
-            return None
-        sigma.append(tuple(perm))
-    return tuple(sigma)
+def _matching_of(q, bm, l):
+    """Per-class matching of a diagram carrying the absorbing layout: its
+    sigma when both its profiles are those of bm, else None."""
+    top, sigma, bottom, _ = polar_decompose(q, l)
+    want_top, _, want_bottom, _ = polar_decompose(bm, l)
+    return sigma if (top, bottom) == (want_top, want_bottom) else None
 
 
 def section_checks(l, n, delta0=None):

@@ -142,10 +142,6 @@ def check_sandwich_identities(l, n):
     return True
 
 
-def check_basis_vector_partition(l, n):
-    return ideal_section_dims_check(l, n)
-
-
 def check_matching_group_corner(l, n):
     for m in gamma.gamma_set(l, n):
         ok, _ = corner_group_check(m, l, n)
@@ -202,10 +198,6 @@ def check_index_split(l, n):
     return True
 
 
-def check_sum_of_squares(l, n):
-    return sum_of_squares_check(l, n)
-
-
 def check_gram_nondegenerate(l, n):
     return all(s.nondegenerate for s in gram_summary(l, n))
 
@@ -216,10 +208,6 @@ check_generic_rank = check_gram_nondegenerate
 
 def check_semisimple_generic_point(l, n):
     return all(s.rank_at == s.dim for s in gram_summary(l, n))
-
-
-def check_top_layer(l, n):
-    return top_layer_check(l, n)
 
 
 def check_contravariance(l, n):
@@ -256,10 +244,6 @@ def check_module_globalisation(l, n):
     if n <= l:
         return True
     return all(globalise_module_check(mu, l, n) for mu in all_labels(l, n - l))
-
-
-def check_top_layer_vanishing(l, n):
-    return vanishing_top_layer_check(l, n)
 
 
 def check_branching_dims(l, n):
@@ -315,22 +299,22 @@ CHECKS = [
     ("flip-antiautomorphism", check_flip_antiautomorphism),
     ("associativity", check_associativity),
     ("sandwich-identities", check_sandwich_identities),
-    ("basis-vector-partition", check_basis_vector_partition),
+    ("basis-vector-partition", ideal_section_dims_check),
     ("matching-group-corner", check_matching_group_corner),
     ("lower-ideal-product", check_lower_ideal_product),
     ("total-order-and-chain", check_total_order),
     ("index-set-split", check_index_split),
     ("reduction-idempotent", check_reduction_idempotent),
-    ("sum-of-squares", check_sum_of_squares),
+    ("sum-of-squares", sum_of_squares_check),
     ("generator-relations", check_generator_relations),
     ("gram-nondegenerate", check_gram_nondegenerate),
     ("gram-generic-rank", check_generic_rank),
     ("semisimple-generic-point", check_semisimple_generic_point),
-    ("gram-top-layer", check_top_layer),
+    ("gram-top-layer", top_layer_check),
     ("form-contravariance", check_contravariance),
     ("corner-compression", check_corner_compression),
     ("module-globalisation", check_module_globalisation),
-    ("top-layer-vanishing", check_top_layer_vanishing),
+    ("top-layer-vanishing", vanishing_top_layer_check),
     ("branching-dimensions", check_branching_dims),
     ("submodule-closure", check_submodule_closure),
     ("heredity-sections", check_heredity_sections),

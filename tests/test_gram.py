@@ -9,7 +9,7 @@ from tonalg import gram as gr
 from tonalg.algebra import Element
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq, int_mat_mul
-from tonalg.standard_modules import all_labels, standard_module
+from tonalg.standard_modules import all_labels, decompose_left_term, standard_module
 from tonalg.symmetric import perm_inverse
 
 
@@ -343,9 +343,10 @@ def ordered_pair_gram(mu, l, n):
         fi = dg.flip(ti)
         for j, tj in enumerate(mod.t_diagrams):
             k, g = dg.compose(fi, tj)
-            sigma = gr._sandwich_matching(g, mod.mvec, l, n)
-            if sigma is None:
+            res = decompose_left_term(g, mod.mvec, l, n)
+            if res is None:
                 continue
+            sigma = res[1]
             blk = int_mat_mul(mod.rep.form, mod.rep.matrix(tuple(perm_inverse(p) for p in sigma)))
             exps[(i, j)] = k
             for a in range(r):

@@ -9,6 +9,8 @@ from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import poly_mat_mul, poly_mat_eq, poly_mat, identity_matrix
 from tonalg import standard_modules as sm
 
+from oracles import plain_polar_decompose, plain_transversal, set_partitions
+
 
 def test_transversal_counts():
     assert len(sm.transversal((1, 0), 2, 3)) == 4
@@ -21,6 +23,16 @@ def test_transversal_diagrams_have_right_vector():
         for m in gamma.gamma_set(l, n):
             for t in sm.transversal_diagrams(m, l, n):
                 assert dg.prop_vector(t, l) == m
+
+
+def test_transversal_matches_plain_filter():
+    # the block-by-block transversal against the filter over every set
+    # partition of the top row, for every vector with l <= 4, n <= 8
+    for n in range(9):
+        partitions = list(set_partitions(range(n)))
+        for l in range(1, 5):
+            for m in gamma.gamma_set(l, n):
+                assert sm.transversal(m, l, n) == plain_transversal(m, l, n, partitions), (m, l, n)
 
 
 def test_transversal_invalid_vector():
@@ -42,11 +54,22 @@ def test_polar_round_trip_exhaustive():
             assert sm.polar_recompose(t, s, b, l, n) == d
 
 
+@pytest.mark.parametrize("l,n", [(1, 4), (2, 5), (3, 5)])
+def test_polar_decompose_matches_plain_route(l, n):
+    for d in enumerate_basis(l, n, n):
+        assert sm.polar_decompose(d, l) == plain_polar_decompose(d, l), d
+
+
+def test_polar_decompose_refuses_non_tone():
+    with pytest.raises(dg.DiagramError):
+        sm.polar_decompose(dg.make_diagram(2, 2, [["T1"], ["T2", "B1"], ["B2"]]), 2)
+
+
 def test_polar_of_canonical_element_is_identity():
     for l, n, m in [(2, 4, (2, 0)), (3, 6, (1, 1, 1)), (2, 6, (0, 1))]:
         t, s, b, mv = sm.polar_decompose(dg.a_m(m, l, n), l)
         assert mv == m
-        assert t == b
+        assert t == b == sm.layout(m, l, n)
         assert all(list(p) == sorted(p) and p == tuple(range(len(p))) for p in s)
 
 
@@ -100,6 +123,30 @@ def test_decompose_never_sees_incomparable():
                 for g in gens:
                     _, q = dg.compose(g, t)
                     sm.decompose_left_term(q, m, l, n)  # must not raise
+
+
+def test_decompose_rejects_non_canonical_layout():
+    # vector m, but the bottom slots of a_m permuted out of their layout
+    for l, n, m, i in [(2, 3, (1, 1), 2), (3, 5, (2, 0, 1), 3), (1, 3, (1,), 1)]:
+        _, d = dg.compose(dg.a_m(m, l, n), dg.transposition(i, n))
+        assert dg.prop_vector(d, l) == m
+        assert sm.polar_decompose(d, l)[2] != sm.layout(m, l, n)
+        with pytest.raises(sm.InvariantError):
+            sm.decompose_left_term(d, m, l, n)
+
+
+def test_decompose_rejects_incomparable_vector():
+    seen = 0
+    for l, n in [(2, 4), (3, 5)]:
+        g = gamma.gamma_set(l, n)
+        for m in g:
+            for mp in g:
+                if gamma.poset_leq(m, mp, l) or gamma.poset_leq(mp, m, l):
+                    continue
+                seen += 1
+                with pytest.raises(sm.InvariantError):
+                    sm.decompose_left_term(dg.a_m(mp, l, n), m, l, n)
+    assert seen
 
 
 def test_module_dims_and_basis():
@@ -188,7 +235,8 @@ def test_corner_compression():
 def test_globalise_modules():
     for mu in sm.all_labels(2, 2):
         assert sm.globalise_module_check(mu, 2, 4)
-    assert sm.globalise_check(((1,), ()), 2, 5)
+    assert sm.corner_compression_check(2, 5)
+    assert sm.globalise_module_check(((1,), ()), 2, 5)
 
 
 def test_vanishing_top_layer():

@@ -122,7 +122,7 @@ def plain_corner_group_check(mvec, l, n):
     elems = sorted(survivors)
     match = {}
     for q in elems:
-        sig = st._matching_of(q, bm, mvec, l, n)
+        sig = st._matching_of(q, bm, l)
         if sig is None:
             return False, want
         match[q] = sig
@@ -171,7 +171,7 @@ def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
     for c in sandwich_middles(bm, bm, l):
         q = dg.compose(dg.compose(bm, c)[1], bm)[1]
         if dg.prop_vector(q, l) == mvec:
-            survivors[st._matching_of(q, bm, mvec, l, n)] = q
+            survivors[st._matching_of(q, bm, l)] = q
     ident = tuple(tuple(range(x)) for x in mvec)
     gens = [ident]
     for i, x in enumerate(mvec):
@@ -193,3 +193,26 @@ def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
         assert st.corner_group_check(mvec, l, n) == (False, want), s
         if n <= 5:
             assert plain_corner_group_check(mvec, l, n) == (False, want), s
+
+
+def test_matching_of_reads_b_m_as_identity():
+    for mvec, l, n in [((1, 1), 2, 5), ((3, 1), 2, 5), ((2, 0, 1), 3, 5), ((1, 0, 1), 3, 7)]:
+        bm = dg.b_m(mvec, l, n)
+        assert st._matching_of(bm, bm, l) == tuple(tuple(range(x)) for x in mvec)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        dg.a_m((1, 1), 2, 5),  # unflagged l-blocks that b_m absorbs
+        dg.compose(dg.b_m((3, 1), 2, 5), dg.transposition(2, 5))[1],  # bottom moved
+        dg.compose(dg.transposition(2, 5), dg.b_m((3, 1), 2, 5))[1],  # top moved
+    ],
+)
+def test_matching_of_rejects_other_profiles(q):
+    # negative control: vector m, but not the profiles of b_m
+    l = 2
+    mvec = dg.prop_vector(q, l)
+    bm = dg.b_m(mvec, l, q.n)
+    assert q != bm and mvec in ((1, 1), (3, 1))
+    assert st._matching_of(q, bm, l) is None
