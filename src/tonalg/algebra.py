@@ -128,41 +128,46 @@ class Element:
         return "Element(%s)" % " + ".join(bits)
 
 
-def tone_partitions(charges, l):
-    """The partitions of range(len(charges)) whose blocks each have charge
-    sum = 0 mod l (charges: a sequence of ints), as tuples of sorted block
-    tuples, in increasing lexicographic order.
-
-    Restricted-growth generation (Knuth, TAOCP 4A, 7.2.1.5) block by block:
-    the block holding the least remaining item runs over the subsets of the
-    remaining items in lexicographic order, and only a block of residue 0 is
-    recursed into, so no partition with a nonzero block is ever built.  The
-    blocks of each remaining set are tabulated once per call.
-    """
+def _tone_walk(charges, l, piece, head):
+    """Restricted-growth generation (Knuth, TAOCP 4A, 7.2.1.5) block by
+    block over the partitions of range(len(charges)) whose blocks each have
+    charge sum = 0 mod l, in increasing lexicographic order: the block
+    holding the least remaining item runs over the residue-0 blocks of the
+    remaining items in lexicographic order, so no partition with a nonzero
+    block is ever built.  Each partition is yielded as head + the pieces of
+    its blocks; a block's piece(block, what it leaves) is built once, when
+    the blocks of its remaining set are tabulated, once per call."""
     if l < 1:
         raise dg.DiagramError("need l >= 1, got %r" % (l,))
 
     @lru_cache(maxsize=None)
-    def blocks(rest):
-        # (block, what it leaves) for every residue-0 block holding rest[0]
+    def table(rest):
         out, others = [], rest[1:]
         stack = [((rest[0],), charges[rest[0]] % l, 0)]
         while stack:
             block, res, start = stack.pop()
             if res == 0:
-                out.append((block, tuple(x for x in others if x not in block)))
+                left = tuple(x for x in others if x not in block)
+                out.append((piece(block, left), left))
             for j in range(len(others) - 1, start - 1, -1):
                 stack.append((block + (others[j],), (res + charges[others[j]]) % l, j + 1))
         return out
 
     def rec(rest, prefix):
-        if not rest:
-            yield prefix
-            return
-        for block, left in blocks(rest):
-            yield from rec(left, prefix + (block,))
+        for p, left in table(rest):
+            if left:
+                yield from rec(left, prefix + p)
+            else:
+                yield prefix + p
 
-    return rec(tuple(range(len(charges))), ())
+    return rec(tuple(range(len(charges))), head) if charges else iter([head])
+
+
+def tone_partitions(charges, l):
+    """The partitions of range(len(charges)) whose blocks each have charge
+    sum = 0 mod l (charges: a sequence of ints), as tuples of sorted block
+    tuples, in increasing lexicographic order, by `_tone_walk`."""
+    return _tone_walk(charges, l, lambda block, left: (block,), ())
 
 
 def sandwich_middles(a, b, l):
@@ -198,6 +203,21 @@ def basis_blocks(l, n, m):
     if n < 0 or m < 0:
         raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
     return tone_partitions([1] * n + [-1] * m, l)
+
+
+def basis_texts(l, n, m):
+    """The `serialize` text of every l-tone diagram of shape (n, m), in
+    canonical order, generated lazily; the sizes are checked at once.  The
+    tone_partitions walk, but each block's `T1,B2;` text is built once per
+    remaining set, so a diagram costs one concatenation per block."""
+    if n < 0 or m < 0:
+        raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
+    names = dg._vertex_names(n, m)
+
+    def text(block, left):
+        return ",".join([names[v] for v in block]) + (";" if left else "")
+
+    return _tone_walk([1] * n + [-1] * m, l, text, "%d,%d|" % (n, m))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import diagram as dg
 from . import gamma as gamma_mod
-from .algebra import basis_blocks
+from .algebra import basis_texts
 from .branching import bratteli
 from .gram import gram_report
 from .standard_modules import standard_module, generator_diagrams
@@ -63,7 +63,9 @@ def validate(args):
 def _emit(args, text):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            # two writes: text + "\n" would copy the whole output once more
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -83,8 +85,8 @@ def cmd_compose(args):
 def cmd_basis(args):
     n = args.n
     m = n if args.m is None else args.m
-    # straight from the generator: no Diagram objects, one text per block
-    diagrams = [dg.serialize_blocks(n, m, b) for b in basis_blocks(args.l, n, m)]
+    # texts straight from the tone-partition walk: no Diagram, no block tuples
+    diagrams = list(basis_texts(args.l, n, m))
     if args.format == "csv":
         _emit(args, "\n".join(["diagram"] + diagrams))
     else:

@@ -114,36 +114,10 @@ def _vertex_names(n, m):
     return tuple(["T%d" % (i + 1) for i in range(n)] + ["B%d" % (j + 1) for j in range(m)])
 
 
-class _BlockTexts(dict):
-    """Block tuple -> its `T1,T2,B3` text, for one shape; filled on lookup."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, n, m):
-        self.names = _vertex_names(n, m)
-
-    def __missing__(self, block):
-        text = self[block] = ",".join([self.names[v] for v in block])
-        return text
-
-
-@lru_cache(maxsize=None)
-def _block_texts(n, m):
-    # keyed by shape too: the same coded block names different vertices in
-    # different shapes, e.g. (0, 1) is T1,T2 in (2,0) and T1,B1 in (1,1)
-    return _BlockTexts(n, m)
-
-
-def serialize_blocks(n, m, blocks):
-    """Text form `n,m|b1;b2;...` of canonical coded blocks of shape (n, m),
-    with vertices as Ti/Bj tokens; each block's text is built once per shape."""
-    texts = _block_texts(n, m)
-    return "%d,%d|%s" % (n, m, ";".join([texts[b] for b in blocks]))
-
-
 def serialize(d):
     """Text form `n,m|b1;b2;...` with vertices as Ti/Bj tokens."""
-    return serialize_blocks(d.n, d.m, d.blocks)
+    names = _vertex_names(d.n, d.m)
+    return "%d,%d|%s" % (d.n, d.m, ";".join([",".join([names[v] for v in b]) for b in d.blocks]))
 
 
 def parse(text):

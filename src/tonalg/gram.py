@@ -179,10 +179,14 @@ def gram_report(mu, l, n, point=None, want_det=False):
         "dim": g.dim,
         "entries": [[e.to_json() for e in row] for row in g.entries],
     }
-    out["generic_rank"], det = bareiss_det(g.entries)
     if want_det:
+        out["generic_rank"], det = bareiss_det(g.entries)
         out["det"] = det.to_json()
         out["det_str"] = str(det)
+    else:
+        # a point rank below dim is only a lower bound on the generic rank
+        r = fraction_rank(g.evaluate(GENERIC_POINT))
+        out["generic_rank"] = r if r == g.dim else bareiss_det(g.entries)[0]
     if point is not None:
         out["rank_at"] = fraction_rank(g.evaluate(point))
         out["at"] = str(point)

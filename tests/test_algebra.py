@@ -5,7 +5,7 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
-from tonalg.algebra import Element, basis_blocks, enumerate_basis, reduce_mod_below, tone_partitions
+from tonalg.algebra import Element, basis_blocks, basis_texts, enumerate_basis, reduce_mod_below, tone_partitions
 from tonalg.deltapoly import DeltaPoly
 from tonalg.standard_modules import corner_basis, sum_of_squares_check
 
@@ -127,6 +127,12 @@ def test_enumerate_basis_refuses_bad_sizes(l, n, m):
 def test_basis_blocks_refuses_bad_sizes_before_iterating(l, n, m):
     with pytest.raises(dg.DiagramError):
         basis_blocks(l, n, m)
+
+
+@pytest.mark.parametrize("l, n, m", [(0, 2, 2), (1, -1, 2), (2, 2, -1), (0, 0, 0)])
+def test_basis_texts_refuses_bad_sizes_before_iterating(l, n, m):
+    with pytest.raises(dg.DiagramError):
+        basis_texts(l, n, m)
 
 
 @pytest.mark.parametrize("l", [0, -2])

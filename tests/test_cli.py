@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,10 +6,13 @@ import sys
 
 import pytest
 
+from tonalg import algebra
 from tonalg import diagram as dg
 from tonalg.algebra import enumerate_basis
 from tonalg.cli import main, parse_mu, parse_rational
 from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, argv):
@@ -62,6 +66,36 @@ def test_basis_output_matches_serialized_diagrams(capsys):
                 code, out = run_cli(capsys, argv)
                 assert code == 0
                 assert out == "\n".join(["diagram"] + texts) + "\n"
+
+
+def test_basis_takes_only_the_text_route(capsys, monkeypatch):
+    # basis builds no Diagram, calls no serialize and walks no block tuples
+    _, want = run_cli(capsys, ["basis", "--l", "2", "--n", "4"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis left the text route")
+
+    monkeypatch.setattr(dg.Diagram, "__init__", refuse)
+    monkeypatch.setattr(dg, "serialize", refuse)
+    monkeypatch.setattr(algebra, "tone_partitions", refuse)
+    code, out = run_cli(capsys, ["basis", "--l", "2", "--n", "4"])
+    assert code == 0
+    assert out == want
+
+
+def test_basis_output_matches_benchmark_digests(tmp_path):
+    # the digests and counts that perfbench/run.py checks its basis steps
+    # against, so byte identity is also checked on every tested Python
+    with open(os.path.join(ROOT, "perfbench", "expected.json")) as fh:
+        expected = json.load(fh)["basis"]
+    assert expected
+    for key, exp in sorted(expected.items()):
+        l, n = key.split(",")
+        path = tmp_path / "basis.json"
+        assert main(["basis", "--l", l, "--n", n, "--out", str(path)]) == 0
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == exp["sha256"], key
+        assert json.loads(data)["count"] == exp["count"], key
 
 
 def test_gamma_json_matches_worked_levels(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tonalg import diagram as dg
-from tonalg.algebra import basis_blocks, enumerate_basis
+from tonalg.algebra import basis_texts, enumerate_basis
 
 
 def test_make_diagram_identity():
@@ -287,22 +287,22 @@ def test_compose_output_is_canonical_without_resorting():
             assert tuple(scaled) == _compose_resorting(p, q), (p, q)
 
 
-def test_serialize_blocks_memo_is_per_shape():
-    # the same coded block names different vertices in different shapes, so
-    # a memo keyed by the block alone would hand one shape the other's text
-    assert dg.serialize_blocks(2, 0, ((0, 1),)) == "2,0|T1,T2"
-    assert dg.serialize_blocks(1, 1, ((0, 1),)) == "1,1|T1,B1"
-    assert dg.serialize_blocks(2, 0, ((0, 1),)) == "2,0|T1,T2"
-    assert dg.serialize_blocks(0, 2, ((0, 1),)) == "0,2|B1,B2"
-    assert dg.serialize_blocks(0, 0, ()) == "0,0|"
+def test_basis_texts_name_vertices_per_shape():
+    # the same coded block (0, 1) names different vertices in different
+    # shapes, so block texts kept by block alone would cross shapes
+    assert list(basis_texts(2, 2, 0)) == ["2,0|T1,T2"]
+    assert list(basis_texts(2, 1, 1)) == ["1,1|T1,B1"]
+    assert list(basis_texts(2, 2, 0)) == ["2,0|T1,T2"]
+    assert list(basis_texts(2, 0, 2)) == ["0,2|B1,B2"]
+    assert list(basis_texts(2, 0, 0)) == ["0,0|"]
 
 
-def test_serialize_blocks_round_trip():
-    for l, n, m in [(1, 3, 2), (2, 4, 4), (3, 3, 6), (2, 0, 4)]:
-        for blocks in basis_blocks(l, n, m):
-            text = dg.serialize_blocks(n, m, blocks)
-            assert text == dg.serialize(dg.Diagram(n, m, blocks))
-            assert dg.parse(text) == dg.Diagram(n, m, blocks)
+def test_basis_texts_round_trip():
+    for l, n, m in [(1, 3, 2), (2, 4, 4), (3, 3, 6), (2, 0, 4), (1, 0, 0)]:
+        texts = list(basis_texts(l, n, m))
+        basis = enumerate_basis(l, n, m)
+        assert texts == [dg.serialize(d) for d in basis], (l, n, m)
+        assert [dg.parse(t) for t in texts] == list(basis), (l, n, m)
 
 
 def test_serialize_round_trip():

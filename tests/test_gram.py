@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ from tonalg import diagram as dg
 from tonalg import exactla
 from tonalg import gram as gr
 from tonalg.algebra import Element
+from tonalg.cli import main
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq, int_mat_mul
 from tonalg.standard_modules import all_labels, decompose_left_term, standard_module
@@ -330,6 +332,60 @@ def test_gram_report():
     assert rep["rank_at"] == 1
     assert rep["generic_rank"] == 4
     assert rep["det_str"] == "d^3 - 3*d^2 + 3*d - 1"
+
+
+def _label_text(mu):
+    return "|".join(",".join(map(str, lam)) or "-" for lam in mu)
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5)])
+def test_gram_cli_without_det_matches_elimination_rank(capsys, l, n):
+    # without --det the generic rank comes from a point rank when that is
+    # full; the output must still be the --det output less the det keys,
+    # with the rank of the elimination over Z[delta]
+    for mu in all_labels(l, n):
+        argv = ["gram", "--l", str(l), "--n", str(n), "--mu=" + _label_text(mu)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--det"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert full["generic_rank"] == bareiss_det(gr.gram_matrix(mu, l, n).entries)[0]
+        del full["det"], full["det_str"]
+        assert plain == json.dumps(full, sort_keys=True, separators=(",", ":")) + "\n", mu
+
+
+def test_gram_cli_without_det_runs_no_elimination(capsys, monkeypatch):
+    def no_elimination(entries):
+        raise AssertionError("full rank at the point needs no elimination")
+
+    monkeypatch.setattr(exactla, "bareiss_det", no_elimination)
+    monkeypatch.setattr(gr, "bareiss_det", no_elimination)
+    assert main(["gram", "--l", "2", "--n", "4", "--mu=2|1"]) == 0
+    assert json.loads(capsys.readouterr().out)["generic_rank"] > 0
+
+
+class _StubGram:
+    # generic rank 2, but rank 1 at GENERIC_POINT
+    mu = ((1,), ())
+    dim = 2
+    entries = poly_mat([[DeltaPoly.delta(1) - gr.GENERIC_POINT, 0], [0, 1]])
+
+    def evaluate(self, x):
+        return gr.poly_mat_evaluate(self.entries, x)
+
+
+def test_gram_report_deficient_point_rank_falls_back_to_elimination(monkeypatch):
+    calls = []
+
+    def counted(entries):
+        calls.append(entries)
+        return bareiss_det(entries)
+
+    monkeypatch.setattr(gr, "gram_matrix", lambda mu, l, n: _StubGram())
+    monkeypatch.setattr(gr, "bareiss_det", counted)
+    assert fraction_rank(_StubGram().evaluate(gr.GENERIC_POINT)) == 1
+    assert gr.gram_report(_StubGram.mu, 2, 1)["generic_rank"] == 2
+    assert calls == [_StubGram.entries]
 
 
 def ordered_pair_gram(mu, l, n):
