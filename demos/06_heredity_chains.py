@@ -1,7 +1,8 @@
 """Heredity chains: ideal labels, preidempotent exponents, section
 dimensions, and the pair-joiner compression of the even-tone algebra."""
 
-from tonalg.branching import corner_iso_check, fusion_corner_basis
+from tonalg import diagram as dg
+from tonalg.algebra import corner_iso_check, sandwich_middles
 from tonalg.structure import a_chain, p_chain, section_checks
 
 print("== chain of ideals for l=2, n=5 ==")
@@ -26,7 +27,8 @@ print("sections sum to algebra dimension:", rep["sections_sum_to_dim"])
 print()
 print("== pair-joiner compression of the even-tone algebra ==")
 for n in (2, 4):
+    ep = dg.e_pi(n)
     print(
         "  n=%d: corner basis size %d, structure constants match: %s"
-        % (n, len(fusion_corner_basis(n)), corner_iso_check(n))
+        % (n, len(list(sandwich_middles(ep, ep, 2))), corner_iso_check(ep, 2, 1))
     )

@@ -39,7 +39,7 @@ from .diagram import (
     b_m,
     e_pi,
 )
-from .algebra import Element, enumerate_basis, reduce_mod_below
+from .algebra import Element, corner_iso_check, enumerate_basis, reduce_mod_below
 from .gamma import (
     gamma_set,
     poset_leq,
@@ -87,7 +87,6 @@ from .branching import (
     submodule_closure_check,
     branching_dim_check,
     bratteli,
-    corner_iso_check,
 )
 from .structure import p_chain, a_chain, section_checks
 

@@ -188,13 +188,76 @@ def sandwich_middles(a, b, l):
     such c is an l-tone diagram equal to its own join, so it is one of the
     p.  Only the delta exponent of a*p*b is lost.
     """
-    tops = sorted(tuple(v - a.n for v in blk if v >= a.n) for blk in a.blocks if blk[-1] >= a.n)
-    bottoms = sorted(tuple(v + a.m for v in blk if v < b.n) for blk in b.blocks if blk[0] < b.n)
+    tops, bottoms = _middle_parts(a, b)
     objs = tops + bottoms
     for part in tone_partitions([len(o) for o in tops] + [-len(o) for o in bottoms], l):
         yield dg.Diagram(
             a.m, b.n, tuple(tuple(sorted(v for o in blk for v in objs[o])) for blk in part)
         )
+
+
+def _middle_parts(a, b):
+    """(a's bottom parts, b's top parts), each a list of vertex tuples of a
+    middle diagram of shape (a.m, b.n), in least-vertex order."""
+    tops = sorted(tuple(v - a.n for v in blk if v >= a.n) for blk in a.blocks if blk[-1] >= a.n)
+    bottoms = sorted(tuple(v + a.m for v in blk if v < b.n) for blk in b.blocks if blk[0] < b.n)
+    return tops, bottoms
+
+
+def corner_images(e, l):
+    """(k, {q: image}) over the corner basis sandwich_middles(e, e, l), in
+    its order, k being the number of parts of e in each row.
+
+    The image of q contracts each part of e to one vertex: q's top vertices
+    by e's bottom parts, numbered in least-vertex order, and q's
+    bottom vertices by e's top parts likewise.  On W_b(l, n) this is
+    restrict(q, l+1, n); on e_pi(n) it is the pair contraction.  Raises
+    DiagramError unless e is square with as many top parts as bottom parts.
+    """
+    if e.n != e.m:
+        raise dg.DiagramError("the corner needs a square e, got shape (%d,%d)" % (e.n, e.m))
+    from_bottom, from_top = _middle_parts(e, e)
+    if len(from_top) != len(from_bottom):
+        raise dg.DiagramError(
+            "e has %d top parts and %d bottom parts" % (len(from_top), len(from_bottom))
+        )
+    k = len(from_top)
+    where = {v: i for i, part in enumerate(from_bottom + from_top) for v in part}
+    return k, {
+        q: dg.Diagram(k, k, dg._canonical({where[v] for v in blk} for blk in q.blocks))
+        for q in sandwich_middles(e, e, l)
+    }
+
+
+def corner_iso_check(e, l, small_l):
+    """Is the corner e*A*e of the l-tone algebra A, for a diagram e, the
+    small_l-tone algebra on k strands, k the number of parts of e in each
+    row?  W_b(l, n) with small_l = l compresses onto n - l strands, e_pi(n)
+    with l = 2 and small_l = 1 onto the partition algebra on n/2 strands.
+
+    Checked, exactly: e*q*e = q with delta exponent 0 for every q in the
+    corner basis sandwich_middles(e, e, l), so the basis is fixed by the
+    compression and spans e*A*e (each e*p*e is some e*c*e up to delta);
+    the sorted images of corner_images equal enumerate_basis(small_l, k,
+    k), so the contraction is a bijection onto that basis; and for every
+    ordered pair q1*q2 = delta^j r with r in the corner and
+    image(q1)*image(q2) = delta^j image(r).  Raises DiagramError as
+    corner_images does.
+    """
+    k, images = corner_images(e, l)
+    for q in images:
+        k1, r1 = dg.compose(e, q)
+        k2, r2 = dg.compose(r1, e)
+        if (k1 + k2, r2) != (0, q):
+            return False
+    if sorted(images.values()) != list(enumerate_basis(small_l, k, k)):
+        return False
+    for q1, s1 in images.items():
+        for q2, s2 in images.items():
+            j, r = dg.compose(q1, q2)
+            if r not in images or dg.compose(s1, s2) != (j, images[r]):
+                return False
+    return True
 
 
 def basis_blocks(l, n, m):

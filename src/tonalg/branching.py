@@ -19,7 +19,6 @@ from .standard_modules import (
     all_labels,
 )
 from .symmetric import add_boxes, rem_boxes
-from .algebra import enumerate_basis
 
 
 def include(d):
@@ -286,63 +285,3 @@ class BratteliGraph:
 
 def bratteli(l, n_max):
     return BratteliGraph(l, n_max)
-
-
-# ---------------------------------------------------------------------------
-# fusion corner of the even-tone algebra
-
-
-def fusion_corner_basis(n):
-    """Diagram basis of the compression of the 2-tone algebra by the product
-    of the strand-pair joiners; indexed by all partitions of the pairs."""
-    if n % 2 != 0:
-        raise dg.DiagramError("even n required")
-    half = n // 2
-    out = []
-    for q in enumerate_basis(1, half, half):
-        blocks = []
-        for b in q.blocks:
-            cb = []
-            for v in b:
-                if v < half:
-                    cb.extend((2 * v, 2 * v + 1))
-                else:
-                    w = v - half
-                    cb.extend((n + 2 * w, n + 2 * w + 1))
-            blocks.append(cb)
-        out.append(dg.Diagram(n, n, dg._canonical(blocks)))
-    return out
-
-
-def corner_iso_check(n):
-    """The compression by the pair joiners is the whole partition algebra on
-    half the strands, with matching structure constants and delta powers."""
-    if n % 2 != 0:
-        raise dg.DiagramError("even n required")
-    half = n // 2
-    ep = dg.e_pi(n)
-    small = list(enumerate_basis(1, half, half))
-    lifted = fusion_corner_basis(n)
-    for q in lifted:
-        k1, r1 = dg.compose(ep, q)
-        k2, r2 = dg.compose(r1, ep)
-        if (k1 + k2, r2) != (0, q):
-            return False
-    if len(lifted) != len(small):
-        return False
-    # independent route: sandwiching the whole even-tone basis spans no more
-    sandwiched = set()
-    for p in enumerate_basis(2, n, n):
-        _, r1 = dg.compose(ep, p)
-        _, r2 = dg.compose(r1, ep)
-        sandwiched.add(r2)
-    if sandwiched != set(lifted):
-        return False
-    pair = dict(zip(lifted, small))
-    for q1 in lifted:
-        for q2 in lifted:
-            k, r = dg.compose(q1, q2)
-            ks, rs = dg.compose(pair[q1], pair[q2])
-            if (k, pair[r]) != (ks, rs):
-                return False
-    return True

@@ -94,12 +94,12 @@ GENERIC_POINT = 10 ** 6 + 3
 GramSummary = namedtuple("GramSummary", ["mu", "dim", "rank_at", "nondegenerate"])
 
 
-def certify_nondegenerate(entries):
-    """(rank at GENERIC_POINT, det != 0 in Z[delta]) of a square DeltaPoly
-    matrix.  Full rank at the point forces det != 0 and full generic rank;
-    only a deficient rank runs the elimination over Z[delta]."""
+def point_and_generic_rank(entries):
+    """(rank at GENERIC_POINT, rank over Z[delta]) of a square DeltaPoly
+    matrix.  A full rank at the point is the generic rank; only a deficient
+    one, which is just a lower bound, runs the elimination over Z[delta]."""
     r = fraction_rank(poly_mat_evaluate(entries, GENERIC_POINT))
-    return r, r == len(entries) or not bareiss_det(entries)[1].is_zero()
+    return r, r if r == len(entries) else bareiss_det(entries)[0]
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +110,9 @@ def gram_summary(l, n):
     out = []
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)
-        out.append(GramSummary(g.mu, g.dim, *certify_nondegenerate(g.entries)))
+        r, generic = point_and_generic_rank(g.entries)
+        # a square matrix has det != 0 exactly when its generic rank is full
+        out.append(GramSummary(g.mu, g.dim, r, generic == g.dim))
     return tuple(out)
 
 
@@ -184,9 +186,7 @@ def gram_report(mu, l, n, point=None, want_det=False):
         out["det"] = det.to_json()
         out["det_str"] = str(det)
     else:
-        # a point rank below dim is only a lower bound on the generic rank
-        r = fraction_rank(g.evaluate(GENERIC_POINT))
-        out["generic_rank"] = r if r == g.dim else bareiss_det(g.entries)[0]
+        out["generic_rank"] = point_and_generic_rank(g.entries)[1]
     if point is not None:
         out["rank_at"] = fraction_rank(g.evaluate(point))
         out["at"] = str(point)

@@ -18,13 +18,14 @@ corner-group matchings all go through them.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
 from .deltapoly import DeltaPoly
 from . import diagram as dg
 from . import gamma
-from .algebra import enumerate_basis, sandwich_middles
+from .algebra import enumerate_basis
 from .symmetric import (
     outer_rep,
     hook_dim,
@@ -275,9 +276,6 @@ class StandardModule:
             (p, w) for p in self.profiles for w in self.rep.basis
         ]
 
-    def index(self, profile_idx, vec_idx):
-        return profile_idx * self.rep.dim + vec_idx
-
     def action_matrix(self, d):
         """Matrix of a single diagram acting on the module (columns map)."""
         if d in self._action_cache:
@@ -336,6 +334,11 @@ def all_labels(l, n):
     return out
 
 
+def vector_counts(l, n):
+    """Number of basis diagrams with each exact propagating vector."""
+    return Counter(dg.prop_vector(d, l) for d in enumerate_basis(l, n, n))
+
+
 def sum_of_squares_check(l, n):
     """Brute-force algebra dimension against the sum of squared module dims."""
     lhs = len(enumerate_basis(l, n, n))
@@ -344,42 +347,7 @@ def sum_of_squares_check(l, n):
 
 
 # ---------------------------------------------------------------------------
-# compression onto fewer strands and globalisation
-
-
-def corner_basis(l, n):
-    """Diagram basis of the compression by the (l+1)-strand joiner W_b: all
-    l-tone diagrams whose first l+1 top vertices lie in one block and whose
-    first l+1 bottom vertices lie in one block, in canonical order.  These
-    are the sandwich middles of W_b on both sides."""
-    wb = dg.W_b(l, n)
-    return list(sandwich_middles(wb, wb, l))
-
-
-def corner_compression_check(l, n):
-    """The compression of the algebra by the (l+1)-strand joiner is isomorphic
-    to the algebra on n-l strands: restriction of the corner basis is a
-    bijection preserving structure constants and delta exponents."""
-    wb = dg.W_b(l, n)
-    basis = corner_basis(l, n)
-    for q in basis:
-        k1, r1 = dg.compose(wb, q)
-        k2, r2 = dg.compose(r1, wb)
-        if (k1 + k2, r2) != (0, q):
-            return False
-    images = [dg.restrict(q, l + 1, n) for q in basis]
-    if sorted(images) != sorted(set(images)):
-        return False
-    if sorted(images) != list(enumerate_basis(l, n - l, n - l)):
-        return False
-    img = dict(zip(basis, images))
-    for q1 in basis:
-        for q2 in basis:
-            k, r = dg.compose(q1, q2)
-            ks, rs = dg.compose(img[q1], img[q2])
-            if (k, img[r]) != (ks, rs):
-                return False
-    return True
+# globalisation onto more strands
 
 
 def embedded_profile(profile, l, n_small):
@@ -450,9 +418,7 @@ def ideal_section_dims_check(l, n):
     transversal size times the order of the matching group."""
     from math import factorial
 
-    counts = {}
-    for d in enumerate_basis(l, n, n):
-        counts[dg.prop_vector(d, l)] = counts.get(dg.prop_vector(d, l), 0) + 1
+    counts = vector_counts(l, n)
     for mvec in gamma.gamma_set(l, n):
         size = len(transversal(mvec, l, n)) ** 2
         for x in mvec:

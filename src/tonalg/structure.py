@@ -8,7 +8,7 @@ from math import factorial
 from . import diagram as dg
 from . import gamma
 from .algebra import enumerate_basis, sandwich_middles
-from .standard_modules import InvariantError, polar_decompose, transversal
+from .standard_modules import InvariantError, polar_decompose, transversal, vector_counts
 
 
 class HeredityChain:
@@ -63,15 +63,6 @@ def fully_propagating_dim(l, n):
         if ok:
             count += 1
     return count
-
-
-def vector_counts(l, n):
-    """Number of basis diagrams with each exact propagating vector."""
-    counts = {}
-    for d in enumerate_basis(l, n, n):
-        v = dg.prop_vector(d, l)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
 
 
 def section_label_sets(l, n):

@@ -11,14 +11,13 @@ from collections import namedtuple
 
 from . import diagram as dg
 from . import gamma
-from .algebra import Element, enumerate_basis, reduce_mod_below, sandwich_middles
+from .algebra import Element, corner_iso_check, enumerate_basis, reduce_mod_below, sandwich_middles
 from .deltapoly import DeltaPoly
 from .exactla import poly_mat_mul, poly_mat_eq, identity_matrix, poly_mat
 from .standard_modules import (
     standard_module,
     sum_of_squares_check,
     ideal_section_dims_check,
-    corner_compression_check,
     globalise_module_check,
     vanishing_top_layer_check,
     generator_diagrams,
@@ -31,7 +30,6 @@ from .branching import (
     classified_dim_checks,
     submodule_closure_check,
     quotient_exactness_check,
-    corner_iso_check,
 )
 from .structure import (
     section_checks,
@@ -237,7 +235,7 @@ def check_generator_relations(l, n):
 def check_corner_compression(l, n):
     if n <= l:
         return True
-    return corner_compression_check(l, n)
+    return corner_iso_check(dg.W_b(l, n), l, l)
 
 
 def check_module_globalisation(l, n):
@@ -283,7 +281,7 @@ def check_heredity_sections(l, n):
 def check_fusion_corner(l, n):
     if l != 2 or n % 2 != 0 or n == 0:
         return True
-    return corner_iso_check(n)
+    return corner_iso_check(dg.e_pi(n), 2, 1)
 
 
 def check_reduction_idempotent(l, n):
@@ -336,25 +334,28 @@ def _run_one(job):
 
 
 def thread_count():
-    try:
-        return max(1, int(os.environ.get("TONALG_THREADS", "1")))
-    except ValueError:
-        return 1
+    """TONALG_THREADS (default 1); ValueError unless a positive integer."""
+    text = os.environ.get("TONALG_THREADS", "1")
+    if not (text.isdecimal() and int(text) > 0):
+        raise ValueError("TONALG_THREADS must be a positive integer, got %r" % text)
+    return int(text)
 
 
 def run_verify(l, n_max, names=None):
     """Evaluate the battery for the given l over n = 0..n_max.
 
-    Returns a list of CheckResult in deterministic order; jobs may fan out
-    across processes when TONALG_THREADS > 1, and only then is the process
-    pool (and with it multiprocessing) imported.
+    Returns a list of CheckResult in deterministic order; jobs fan out
+    across min(TONALG_THREADS, number of jobs) processes when that is above
+    1, and only then is the process pool (and with it multiprocessing)
+    imported.  The pool forks all its workers at the first submit, so the
+    cap keeps it from forking workers that get no job.
     """
     names = CHECK_NAMES if names is None else names
     jobs = []
     for n in range(0, n_max + 1):
         for name in names:
             jobs.append((name, l, n))
-    workers = thread_count()
+    workers = min(thread_count(), len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:

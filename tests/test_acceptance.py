@@ -5,14 +5,15 @@ criterion.  Expected values are either trivial, verified worked instances,
 or computed by the independent oracles exercised in the unit suites.
 """
 
+from tonalg import diagram as dg
 from tonalg import gamma
+from tonalg.algebra import corner_iso_check, sandwich_middles
 from tonalg.branching import (
     restrict_rule,
     branching_dim_check,
     submodule_closure_check,
     leak_check,
     quotient_exactness_check,
-    corner_iso_check,
 )
 from tonalg.exactla import bareiss_det
 from tonalg.gram import GENERIC_POINT, gram_matrix, gram_summary, rank_at
@@ -20,7 +21,6 @@ from tonalg.standard_modules import (
     all_labels,
     standard_dim,
     sum_of_squares_check,
-    corner_compression_check,
     globalise_module_check,
 )
 from tonalg.verify import check_lower_ideal_product, pairwise_closure
@@ -119,7 +119,7 @@ def test_criterion_08_index_machinery():
 
 
 def test_criterion_09_globalisation():
-    ok = all(corner_compression_check(l, n) for l, n in [(2, 4), (2, 5), (3, 6)])
+    ok = all(corner_iso_check(dg.W_b(l, n), l, l) for l, n in [(2, 4), (2, 5), (3, 6)])
     for mu in all_labels(2, 2):
         ok = ok and globalise_module_check(mu, 2, 4)
     report(9, ok, "corner compression bijections and module embeddings")
@@ -143,12 +143,11 @@ def test_criterion_11_submodule_closure():
 
 def test_criterion_12_fusion_corner():
     ok = True
-    from tonalg.branching import fusion_corner_basis
-
     bell = {2: 2, 4: 15}
     for n in (2, 4):
-        if len(fusion_corner_basis(n)) != bell[n]:
+        ep = dg.e_pi(n)
+        if len(list(sandwich_middles(ep, ep, 2))) != bell[n]:
             ok = False
-        if not corner_iso_check(n):
+        if not corner_iso_check(ep, 2, 1):
             ok = False
     report(12, ok, "pair-joiner compression has full partition-algebra size")

@@ -5,9 +5,19 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
-from tonalg.algebra import Element, basis_blocks, basis_texts, enumerate_basis, reduce_mod_below, tone_partitions
+from tonalg.algebra import (
+    Element,
+    basis_blocks,
+    basis_texts,
+    corner_images,
+    corner_iso_check,
+    enumerate_basis,
+    reduce_mod_below,
+    sandwich_middles,
+    tone_partitions,
+)
 from tonalg.deltapoly import DeltaPoly
-from tonalg.standard_modules import corner_basis, sum_of_squares_check
+from tonalg.standard_modules import sum_of_squares_check
 
 from oracles import set_partitions
 
@@ -142,7 +152,7 @@ def test_tone_partitions_refuses_l_below_one(l):
 
 
 def _corner_filter_route(l, n):
-    # the plain route for corner_basis: walk every set partition of the two
+    # the plain route for the W_b corner basis: walk every set partition of the two
     # supernodes and the free vertices, expand, keep the l-tone diagrams
     objs = ["TS"] + ["T%d" % v for v in range(l + 2, n + 1)] + ["BS"] + [
         "B%d" % v for v in range(l + 2, n + 1)
@@ -171,7 +181,70 @@ def _corner_filter_route(l, n):
 def test_corner_basis_matches_filter_route():
     for l in range(1, 4):
         for n in range(l + 1, l + 5):
-            assert corner_basis(l, n) == _corner_filter_route(l, n), (l, n)
+            wb = dg.W_b(l, n)
+            assert list(sandwich_middles(wb, wb, l)) == _corner_filter_route(l, n), (l, n)
+
+
+def test_corner_contraction_is_restriction_on_w_b():
+    for l in range(1, 4):
+        for n in range(l + 1, l + 4):
+            k, images = corner_images(dg.W_b(l, n), l)
+            assert k == n - l
+            for q, image in images.items():
+                assert image == dg.restrict(q, l + 1, n), (l, n, q)
+
+
+def test_corner_contraction_is_pair_contraction_on_e_pi():
+    # lifting each image vertex v back to the pair (2v, 2v+1) gives q again
+    for n in (2, 4, 6):
+        k, images = corner_images(dg.e_pi(n), 2)
+        assert k == n // 2
+        for q, image in images.items():
+            lifted = [
+                [2 * v + i if v < k else n + 2 * (v - k) + i for v in blk for i in (0, 1)]
+                for blk in image.blocks
+            ]
+            assert dg.Diagram(n, n, dg._canonical(lifted)) == q
+
+
+@pytest.mark.parametrize("l,n", [(1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+def test_corner_iso_check_rejects_non_idempotent_w(l, n):
+    # W(l, n) * q * W(l, n) picks up a factor of delta; at l = 1 the images
+    # and structure constants of the corner all agree, so only the e*q*e
+    # comparison can reject it
+    assert not corner_iso_check(dg.W(l, n), l, l)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_corner_iso_check_rejects_wrong_tone_for_e_pi(n):
+    assert not corner_iso_check(dg.e_pi(n), 2, 2)
+
+
+@pytest.mark.parametrize("l,n", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
+def test_corner_iso_check_rejects_wrong_tone_for_w_b(l, n):
+    # n - l >= l, so the l-tone and (l+1)-tone bases on n - l strands differ
+    assert not corner_iso_check(dg.W_b(l, n), l, l + 1)
+
+
+def test_corner_iso_check_compares_delta_exponents(monkeypatch):
+    # products of (n-l)-strand diagrams gain one extra delta: images and
+    # product diagrams still agree, only the exponents differ
+    l, n = 1, 3
+    compose = dg.compose
+
+    def shifted(p, q):
+        k, d = compose(p, q)
+        return (k + 1, d) if p.n == n - l else (k, d)
+
+    monkeypatch.setattr(dg, "compose", shifted)
+    assert not corner_iso_check(dg.W_b(l, n), l, l)
+
+
+def test_corner_images_refuse_bad_idempotents():
+    with pytest.raises(dg.DiagramError):
+        corner_images(dg.parse("2,1|T1,T2,B1"), 1)
+    with pytest.raises(dg.DiagramError):
+        corner_iso_check(dg.parse("2,2|T1,T2;B1;B2"), 1, 1)
 
 
 def test_basis_count_at_3_6():

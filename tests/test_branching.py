@@ -4,7 +4,7 @@ import pytest
 
 from tonalg import branching as br
 from tonalg import diagram as dg
-from tonalg.algebra import enumerate_basis
+from tonalg.algebra import corner_iso_check, enumerate_basis, sandwich_middles
 from tonalg.standard_modules import all_labels, standard_dim
 
 
@@ -121,9 +121,11 @@ def test_bratteli_exports():
 
 
 def test_fusion_corner():
-    assert br.corner_iso_check(2)
-    assert br.corner_iso_check(4)
-    assert len(br.fusion_corner_basis(2)) == 2
-    assert len(br.fusion_corner_basis(4)) == 15
+    # the corner under the pair joiners is the partition algebra on n/2
+    # strands, of Bell(n) dimension
+    for n, bell in [(2, 2), (4, 15)]:
+        ep = dg.e_pi(n)
+        assert len(list(sandwich_middles(ep, ep, 2))) == bell
+        assert corner_iso_check(ep, 2, 1)
     with pytest.raises(dg.DiagramError):
-        br.corner_iso_check(3)
+        dg.e_pi(3)

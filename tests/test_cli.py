@@ -248,3 +248,12 @@ def test_threaded_verify_matches_serial():
     r2 = subprocess.run(cmd, capture_output=True, text=True)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "", "1.5"])
+def test_verify_refuses_bad_thread_count(capsys, monkeypatch, threads):
+    monkeypatch.setenv("TONALG_THREADS", threads)
+    assert main(["verify", "--l", "2", "--n-max", "0", "--only", "sum-of-squares"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: TONALG_THREADS")

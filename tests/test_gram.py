@@ -223,13 +223,13 @@ def test_elimination_of_singular_and_nonsquare_matrices():
 def test_certificate_falls_back_to_elimination():
     # rank 0 at the generic point, yet delta - P is a nonzero polynomial
     entries = [[DeltaPoly.delta(1) - gr.GENERIC_POINT]]
-    assert gr.certify_nondegenerate(entries) == (0, True)
+    assert gr.point_and_generic_rank(entries) == (0, 1)
 
 
 def test_certificate_rejects_generically_singular_matrix():
     d = DeltaPoly.delta(1)
     entries = poly_mat([[d, 1, 2], [d, 1, 2], [1, d, d * d]])
-    assert gr.certify_nondegenerate(entries) == (2, False)
+    assert gr.point_and_generic_rank(entries) == (2, 2)
 
 
 def test_gram_summary_builds_each_label_once_without_elimination(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
-from tonalg.algebra import Element, enumerate_basis
+from tonalg.algebra import Element, corner_iso_check, enumerate_basis, sandwich_middles
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import poly_mat_mul, poly_mat_eq, poly_mat, identity_matrix
 from tonalg import standard_modules as sm
@@ -215,27 +215,27 @@ def test_ideal_section_dims():
 
 
 def test_corner_basis_matches_sandwich_span():
-    # the supernode enumeration equals the sandwich image of the full basis
-    for l, n in [(2, 4), (3, 4), (2, 5)]:
-        wb = dg.W_b(l, n)
+    # the supernode enumeration equals the sandwich image of the full basis,
+    # for the (l+1)-strand joiner and for the pair joiners
+    cases = [(dg.W_b(l, n), l) for l, n in [(2, 4), (3, 4), (2, 5)]]
+    cases += [(dg.e_pi(n), 2) for n in (2, 4)]
+    for e, l in cases:
         want = set()
-        for p in enumerate_basis(l, n, n):
-            _, q1 = dg.compose(wb, p)
-            _, q2 = dg.compose(q1, wb)
+        for p in enumerate_basis(l, e.n, e.n):
+            _, q1 = dg.compose(e, p)
+            _, q2 = dg.compose(q1, e)
             want.add(q2)
-        assert want == set(sm.corner_basis(l, n))
+        assert want == set(sandwich_middles(e, e, l)), (e, l)
 
 
 def test_corner_compression():
-    assert sm.corner_compression_check(2, 4)
-    assert sm.corner_compression_check(2, 5)
-    assert sm.corner_compression_check(3, 6)
+    for l, n in [(1, 3), (2, 4), (2, 5), (3, 6)]:
+        assert corner_iso_check(dg.W_b(l, n), l, l)
 
 
 def test_globalise_modules():
     for mu in sm.all_labels(2, 2):
         assert sm.globalise_module_check(mu, 2, 4)
-    assert sm.corner_compression_check(2, 5)
     assert sm.globalise_module_check(((1,), ()), 2, 5)
 
 
