@@ -134,9 +134,10 @@ def _tone_walk(charges, l, piece, head):
     charge sum = 0 mod l, in increasing lexicographic order: the block
     holding the least remaining item runs over the residue-0 blocks of the
     remaining items in lexicographic order, so no partition with a nonzero
-    block is ever built.  Each partition is yielded as head + the pieces of
-    its blocks; a block's piece(block, what it leaves) is built once, when
-    the blocks of its remaining set are tabulated, once per call."""
+    block is ever built.  Returns a list holding each partition as head +
+    the pieces of its blocks; a block's piece(block, what it leaves) is
+    built once, when the blocks of its remaining set are tabulated, once
+    per call."""
     if l < 1:
         raise dg.DiagramError("need l >= 1, got %r" % (l,))
 
@@ -153,20 +154,25 @@ def _tone_walk(charges, l, piece, head):
                 stack.append((block + (others[j],), (res + charges[others[j]]) % l, j + 1))
         return out
 
+    if not charges:
+        return [head]
+    found = []
+
     def rec(rest, prefix):
         for p, left in table(rest):
             if left:
-                yield from rec(left, prefix + p)
+                rec(left, prefix + p)
             else:
-                yield prefix + p
+                found.append(prefix + p)
 
-    return rec(tuple(range(len(charges))), head) if charges else iter([head])
+    rec(tuple(range(len(charges))), head)
+    return found
 
 
 def tone_partitions(charges, l):
-    """The partitions of range(len(charges)) whose blocks each have charge
-    sum = 0 mod l (charges: a sequence of ints), as tuples of sorted block
-    tuples, in increasing lexicographic order, by `_tone_walk`."""
+    """A list of the partitions of range(len(charges)) whose blocks each
+    have charge sum = 0 mod l (charges: a sequence of ints), as tuples of
+    sorted block tuples, in increasing lexicographic order, by `_tone_walk`."""
     return _tone_walk(charges, l, lambda block, left: (block,), ())
 
 
@@ -262,7 +268,7 @@ def corner_iso_check(e, l, small_l):
 
 def basis_blocks(l, n, m):
     """The canonical block tuples of all l-tone diagrams of shape (n, m), in
-    canonical order, generated lazily; the sizes are checked at once."""
+    canonical order, as a list."""
     if n < 0 or m < 0:
         raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
     return tone_partitions([1] * n + [-1] * m, l)
@@ -270,9 +276,9 @@ def basis_blocks(l, n, m):
 
 def basis_texts(l, n, m):
     """The `serialize` text of every l-tone diagram of shape (n, m), in
-    canonical order, generated lazily; the sizes are checked at once.  The
-    tone_partitions walk, but each block's `T1,B2;` text is built once per
-    remaining set, so a diagram costs one concatenation per block."""
+    canonical order, as a list.  The tone_partitions walk, but each block's
+    `T1,B2;` text is built once per remaining set, so a diagram costs one
+    concatenation per block."""
     if n < 0 or m < 0:
         raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
     names = dg._vertex_names(n, m)

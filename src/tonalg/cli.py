@@ -11,14 +11,9 @@ import json
 import sys
 from fractions import Fraction
 
+# Each cmd_* imports the one module it runs: where no bytecode is written,
+# every process compiles each source it imports anew.
 from . import diagram as dg
-from . import gamma as gamma_mod
-from .algebra import basis_texts
-from .branching import bratteli
-from .gram import gram_report
-from .standard_modules import standard_module, generator_diagrams
-from .structure import structure_report
-from .verify import run_verify, CHECK_NAMES
 
 
 def parse_mu(text, l):
@@ -83,10 +78,12 @@ def cmd_compose(args):
 
 
 def cmd_basis(args):
+    from .algebra import basis_texts
+
     n = args.n
     m = n if args.m is None else args.m
     # texts straight from the tone-partition walk: no Diagram, no block tuples
-    diagrams = list(basis_texts(args.l, n, m))
+    diagrams = basis_texts(args.l, n, m)
     if args.format == "csv":
         _emit(args, "\n".join(["diagram"] + diagrams))
     else:
@@ -98,14 +95,18 @@ def cmd_basis(args):
 
 
 def cmd_gamma(args):
+    from . import gamma
+
     if args.format == "dot":
-        _emit(args, gamma_mod.hasse_dot(args.l, args.n))
+        _emit(args, gamma.hasse_dot(args.l, args.n))
     else:
-        _emit(args, _json(gamma_mod.gamma_report(args.l, args.n)))
+        _emit(args, _json(gamma.gamma_report(args.l, args.n)))
     return 0
 
 
 def cmd_module(args):
+    from .standard_modules import standard_module, generator_diagrams
+
     mu = parse_mu(args.mu, args.l)
     mod = standard_module(mu, args.l, args.n)
     out = {
@@ -127,6 +128,8 @@ def cmd_module(args):
 
 
 def cmd_gram(args):
+    from .gram import gram_report
+
     mu = parse_mu(args.mu, args.l)
     rep = gram_report(mu, args.l, args.n, point=args.at, want_det=args.det)
     _emit(args, _json(rep))
@@ -134,6 +137,8 @@ def cmd_gram(args):
 
 
 def cmd_bratteli(args):
+    from .branching import bratteli
+
     graph = bratteli(args.l, args.n_max)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -146,18 +151,21 @@ def cmd_bratteli(args):
 
 
 def cmd_structure(args):
+    from .structure import structure_report
+
     _emit(args, _json(structure_report(args.l, args.n, args.at)))
     return 0
 
 
 def cmd_verify(args):
+    from .verify import run_verify, CHECK_NAMES
+
     names = None
     if args.only:
         names = [s.strip() for s in args.only.split(",")]
         unknown = [s for s in names if s not in CHECK_NAMES]
         if unknown:
-            print("unknown checks: %s" % ", ".join(unknown), file=sys.stderr)
-            return 2
+            raise ValueError("unknown checks: %s" % ", ".join(map(repr, unknown)))
     results = run_verify(args.l, args.n_max, names)
     for res in results:
         status = "ERROR" if res.error else "PASS" if res.ok else "FAIL"

@@ -415,7 +415,8 @@ def vanishing_top_layer_check(l, n):
 
 def ideal_section_dims_check(l, n):
     """Count of basis diagrams with vector exactly m equals the squared
-    transversal size times the order of the matching group."""
+    transversal size times the order of the matching group, and the basis
+    has a diagram of each vector of gamma_set and of no other."""
     from math import factorial
 
     counts = vector_counts(l, n)
@@ -425,4 +426,4 @@ def ideal_section_dims_check(l, n):
             size *= factorial(x)
         if counts.get(mvec, 0) != size:
             return False
-    return sum(counts.values()) == len(enumerate_basis(l, n, n))
+    return set(counts) == set(gamma.gamma_set(l, n))

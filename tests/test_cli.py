@@ -178,8 +178,9 @@ def test_verify_subset(capsys):
 
 
 def test_verify_unknown_check(capsys):
-    code, _ = run_cli(capsys, ["verify", "--l", "2", "--n-max", "2", "--only", "nope"])
-    assert code == 2
+    # the names are shown by repr, so an empty one is seen
+    assert main(["verify", "--l", "2", "--n-max", "2", "--only", "nope,sum-of-squares,"]) == 2
+    assert capsys.readouterr().err == "error: unknown checks: 'nope', ''\n"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -215,6 +216,8 @@ def test_verify_error_is_not_a_failure(capsys, monkeypatch):
     ["basis", "--l", "2", "--n", "2", "--m", "-1"],
     ["verify", "--l", "0", "--n-max", "2"],
     ["verify", "--l", "2", "--n-max", "-1"],
+    ["verify", "--l", "2", "--n-max", "2", "--only", "nope"],
+    ["verify", "--l", "2", "--n-max", "2", "--only", "sum-of-squares,"],
 ])
 def test_bad_input_is_refused_with_one_line(capsys, argv):
     code = main(argv)
@@ -223,6 +226,35 @@ def test_bad_input_is_refused_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+LOADED_MODULES = """
+import json, sys
+from tonalg.cli import main
+argv = json.loads(sys.argv[1])
+if argv:
+    assert main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "tonalg")))
+"""
+BASIS_MODULES = {"cli", "diagram", "algebra", "deltapoly"}
+GRAM_MODULES = BASIS_MODULES | {"exactla", "gamma", "gram", "standard_modules", "symmetric"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], {"cli", "diagram"}),
+    (["basis", "--l", "2", "--n", "3"], BASIS_MODULES),
+    (["gram", "--l", "2", "--n", "3", "--mu", "1|-", "--det", "--at", "1/1"], GRAM_MODULES),
+    (["verify", "--l", "1", "--n-max", "1"], GRAM_MODULES | {"branching", "structure", "verify"}),
+])
+def test_subcommand_imports_only_what_it_runs(argv, loaded):
+    # a fresh process, so the modules other tests imported do not count
+    path = [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    cmd = [sys.executable, "-c", LOADED_MODULES, json.dumps(argv)]
+    res = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    names = json.loads(res.stdout.splitlines()[-1])
+    assert names == sorted({"tonalg"} | {"tonalg." + name for name in loaded})
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -1,7 +1,4 @@
-"""Every name a tonalg module imports is used in that module.
-
-The package's `__init__` is left out: its imports are the public exports.
-"""
+"""Every name a tonalg module imports is used in that module."""
 
 import ast
 import pathlib
@@ -25,7 +22,7 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_imports_are_used(path):
     assert unused_imports((SRC / path).read_text()) == []
 

@@ -214,6 +214,15 @@ def test_ideal_section_dims():
         assert sm.ideal_section_dims_check(l, n)
 
 
+@pytest.mark.parametrize("l, n", [(2, 4), (3, 4)])
+def test_ideal_section_dims_sees_a_missing_vector(monkeypatch, l, n):
+    # negative control: the basis has diagrams of a vector that gamma_set
+    # no longer lists
+    real = gamma.gamma_set
+    monkeypatch.setattr(gamma, "gamma_set", lambda l, n: real(l, n)[:-1])
+    assert not sm.ideal_section_dims_check(l, n)
+
+
 def test_corner_basis_matches_sandwich_span():
     # the supernode enumeration equals the sandwich image of the full basis,
     # for the (l+1)-strand joiner and for the pair joiners
