@@ -5,6 +5,7 @@ from tonalg import diagram as dg
 from tonalg.algebra import enumerate_basis
 from tonalg.standard_modules import (
     all_labels,
+    generator_diagrams,
     standard_dim,
     standard_module,
     sum_of_squares_check,
@@ -23,9 +24,9 @@ for mu, l, n in [(((2,), ()), 2, 4), (((1,), ()), 2, 3), (((2, 1), (1,)), 2, 5)]
 print()
 print("== generator action on the 3-dimensional module ((1),(1)) at n=3 ==")
 mod = standard_module(((1,), (1,)), 2, 3)
-for name, d in sorted(mod.generator_matrices().items()):
+for name, d in sorted(generator_diagrams(2, 3).items()):
     print("  %s:" % name)
-    for row in d:
+    for row in mod.dense_action(d):
         print("    [%s]" % ", ".join(str(e) for e in row))
 
 print()

@@ -14,9 +14,10 @@ from tonalg.gram import (
 
 print("== the 4x4 Gram matrix of the module ((1),-) at l=2, n=3 ==")
 g = gram_matrix(((1,), ()), 2, 3)
-for row in g.entries:
+entries = g.dense()
+for row in entries:
     print("  [%s]" % ", ".join("%6s" % str(e) for e in row))
-rank, det = bareiss_det(g.entries)
+rank, det = bareiss_det(entries)
 print("determinant:", det)
 print("generic rank:", rank, "of", g.dim)
 

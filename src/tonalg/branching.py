@@ -151,21 +151,18 @@ def _included_generators(l, nplus1):
 
 def _span_closed(mod, class_list, member, gens):
     """Does the span of the profiles with member(class)=True absorb the
-    included generators?"""
-    r = mod.rep.dim
+    included generators?  A generator sends a profile block into at most
+    one block, by an invertible matrix, so the span is closed exactly when
+    no inside block is sent to an outside one; a map that does not cover
+    every block establishes nothing."""
     inside = [member(c) for c in class_list]
     for gd in gens.values():
-        M = mod.action_matrix(gd)
-        for pj, flag in enumerate(inside):
-            if not flag:
-                continue
-            for col in range(pj * r, (pj + 1) * r):
-                for pi in range(len(class_list)):
-                    if inside[pi]:
-                        continue
-                    for row in range(pi * r, (pi + 1) * r):
-                        if not M[row][col].is_zero():
-                            return False
+        amap = mod.action_map(gd)
+        if len(amap) != len(inside):
+            return False
+        for flag, e in zip(inside, amap):
+            if flag and e and not inside[e[0]]:
+                return False
     return True
 
 
@@ -191,19 +188,10 @@ def leak_check(lam, l, nplus1):
     lam = tuple(tuple(x) for x in lam)
     mod = standard_module(lam, l, nplus1)
     _, classes = classify_basis(lam, l, nplus1)
-    r = mod.rep.dim
     for gd in _included_generators(l, nplus1).values():
-        M = mod.action_matrix(gd)
-        for pj, cj in enumerate(classes):
-            if cj != "lp":
-                continue
-            for pi, ci in enumerate(classes):
-                if ci != 1:
-                    continue
-                for col in range(pj * r, (pj + 1) * r):
-                    for row in range(pi * r, (pi + 1) * r):
-                        if not M[row][col].is_zero():
-                            return True
+        for cj, e in zip(classes, mod.action_map(gd)):
+            if cj == "lp" and e and classes[e[0]] == 1:
+                return True
     return False
 
 

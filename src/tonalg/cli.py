@@ -8,6 +8,7 @@ exact rational p/q, never as a float.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -120,7 +121,7 @@ def cmd_module(args):
     }
     if args.matrices:
         out["generators"] = {
-            name: [[e.to_json() for e in row] for row in mod.action_matrix(d)]
+            name: [[e.to_json() for e in row] for row in mod.dense_action(d)]
             for name, d in sorted(generator_diagrams(args.l, args.n).items())
         }
     _emit(args, _json(out))
@@ -255,9 +256,18 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         validate(args)
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that has gone shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except (dg.DiagramError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # send what is still buffered to /dev/null, so the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
         return 2
 
 

@@ -44,37 +44,19 @@ def kron(A, B):
     return out
 
 
-def poly_mat(M):
-    """Coerce an int/DeltaPoly matrix to an all-DeltaPoly matrix."""
-    out = []
-    for row in M:
-        out.append(
-            [x if isinstance(x, DeltaPoly) else DeltaPoly.const(x) for x in row]
-        )
-    return out
-
-
-def poly_mat_mul(A, B):
-    A, B = poly_mat(A), poly_mat(B)
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[DeltaPoly.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            a = A[i][t]
-            if not a.is_zero():
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(cols):
-                    if not Bt[j].is_zero():
-                        Oi[j] = Oi[j] + a * Bt[j]
-    return out
-
-
-def poly_mat_eq(A, B):
-    A, B = poly_mat(A), poly_mat(B)
-    if len(A) != len(B) or (A and len(A[0]) != len(B[0])):
-        return False
-    return all(A[i][j] == B[i][j] for i in range(len(A)) for j in range(len(A[0]) if A else 0))
+def block_matrix(blocks, nb, r):
+    """The dense (nb*r) x (nb*r) DeltaPoly matrix of blocks given as
+    (i, j, k, B): block (i, j) is delta^k times the r x r integer matrix B,
+    and a block not given is zero.  For output only."""
+    zero = DeltaPoly.zero()
+    M = [[zero] * (nb * r) for _ in range(nb * r)]
+    for i, j, k, B in blocks:
+        for a, row in enumerate(B):
+            out = M[i * r + a]
+            for b, v in enumerate(row):
+                if v:
+                    out[j * r + b] = DeltaPoly.delta(k, v)
+    return M
 
 
 def _bareiss(A):
@@ -132,11 +114,10 @@ def bareiss_det(M):
     back from det M(B) as its balanced base-B digits.  A negative exponent
     raises ValueError.
     """
-    P = poly_mat(M)
-    if any(k < 0 for row in P for p in row for k in p.c):
+    if any(k < 0 for row in M for p in row for k in p.c):
         raise ValueError("bareiss_det needs polynomials in delta, not negative powers")
-    b = _packing_width(P)
-    rank, N = _bareiss([[sum(c << (k * b) for k, c in p.c.items()) for p in row] for row in P])
+    b = _packing_width(M)
+    rank, N = _bareiss([[sum(c << (k * b) for k, c in p.c.items()) for p in row] for row in M])
     mask, half = (1 << b) - 1, 1 << (b - 1)
     coeffs = {}
     k = 0
@@ -156,11 +137,10 @@ def fraction_rank(M):
     through the integer elimination."""
     A = []
     for row in M:
+        if all(type(x) is int for x in row):
+            A.append(list(row))
+            continue
         row = [Fraction(x) for x in row]
         L = lcm(*(x.denominator for x in row))
         A.append([x.numerator * (L // x.denominator) for x in row])
     return _bareiss(A)[0]
-
-
-def poly_mat_evaluate(M, x):
-    return [[e.evaluate(x) if isinstance(e, DeltaPoly) else Fraction(e) for e in row] for row in M]

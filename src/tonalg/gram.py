@@ -9,6 +9,7 @@ layout and the entry is delta^k times the symmetric-group form value.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 import random
 
@@ -16,14 +17,7 @@ from .deltapoly import DeltaPoly
 from . import diagram as dg
 from . import gamma
 from .algebra import Element
-from .exactla import (
-    bareiss_det,
-    fraction_rank,
-    poly_mat_mul,
-    poly_mat_eq,
-    int_mat_mul,
-    poly_mat_evaluate,
-)
+from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul
 from .symmetric import perm_inverse
 from .standard_modules import (
     standard_module,
@@ -35,22 +29,22 @@ from .standard_modules import (
 
 class GramMatrix:
     """Exact symmetric Gram matrix of the contravariant form on a standard
-    module, with its block structure by transversal pairs."""
+    module, by blocks of transversal profiles: rows[i][j] = (k, X) says that
+    block (i, j) is delta^k times the integer matrix X, and a block missing
+    from rows[i] is zero.  X is the tableau form times an invertible
+    matrix, and that form is positive definite, so no stored X is zero."""
 
     def __init__(self, mu, l, n):
         self.mu = tuple(tuple(lam) for lam in mu)
         self.l = l
         self.n = n
-        self.module = standard_module(self.mu, l, n)
-        mod = self.module
+        self.module = mod = standard_module(self.mu, l, n)
         self.dim = mod.dim
-        r = mod.rep.dim
-        F = mod.rep.form
-        entries = [[DeltaPoly.zero() for _ in range(self.dim)] for _ in range(self.dim)]
-        self.block_exponents = {}
-        # the matrix is symmetric: build the blocks with i <= j and fill
-        # block (j, i) with the transpose of block (i, j)
         ts = mod.t_diagrams
+        self.rows = rows = [{} for _ in ts]
+        forms = {}
+        # the matrix is symmetric: build the blocks with i <= j and store
+        # block (j, i) as the transpose of block (i, j)
         for i, ti in enumerate(ts):
             fi = dg.flip(ti)
             for j in range(i, len(ts)):
@@ -59,26 +53,43 @@ class GramMatrix:
                 if res is None:
                     continue
                 sigma = res[1]
-                # the sandwich acts on the tableau factor exactly as in the
-                # module action: through the inverse of its slot matching
-                blk = int_mat_mul(
-                    F, mod.rep.matrix(tuple(perm_inverse(p) for p in sigma))
-                )
-                self.block_exponents[(i, j)] = self.block_exponents[(j, i)] = k
-                for a in range(r):
-                    for b in range(r):
-                        if blk[a][b]:
-                            e = DeltaPoly.delta(k, blk[a][b])
-                            entries[i * r + a][j * r + b] = e
-                            if j > i:
-                                entries[j * r + b][i * r + a] = e
-        self.entries = entries
+                if sigma not in forms:
+                    # the sandwich acts on the tableau factor exactly as in
+                    # the module action: through the inverse of its matching
+                    B = mod.rep.matrix(tuple(perm_inverse(p) for p in sigma))
+                    X = int_mat_mul(mod.rep.form, B)
+                    forms[sigma] = X, list(zip(*X))
+                X, Xt = forms[sigma]
+                rows[i][j] = (k, X)
+                if j > i:
+                    rows[j][i] = (k, Xt)
+
+    def blocks(self):
+        """The stored blocks as (i, j, k, X)."""
+        return ((i, j, k, X) for i, row in enumerate(self.rows) for j, (k, X) in row.items())
+
+    def dense(self):
+        """The dim x dim DeltaPoly matrix, for output and elimination."""
+        return block_matrix(self.blocks(), len(self.rows), self.module.rep.dim)
 
     def evaluate(self, x):
-        return poly_mat_evaluate(self.entries, x)
+        """The matrix at delta = x: ints at an integral x, else Fractions."""
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        r = self.module.rep.dim
+        M = [[0] * self.dim for _ in range(self.dim)]
+        for i, j, k, X in self.blocks():
+            xk = x ** k
+            for a, row in enumerate(X):
+                out = M[i * r + a]
+                for b, v in enumerate(row):
+                    out[j * r + b] = v * xk
+        return M
 
 
+@lru_cache(maxsize=None)
 def gram_matrix(mu, l, n):
+    """The Gram matrix of a label, built once per process."""
     return GramMatrix(mu, l, n)
 
 
@@ -94,23 +105,23 @@ GENERIC_POINT = 10 ** 6 + 3
 GramSummary = namedtuple("GramSummary", ["mu", "dim", "rank_at", "nondegenerate"])
 
 
-def point_and_generic_rank(entries):
-    """(rank at GENERIC_POINT, rank over Z[delta]) of a square DeltaPoly
-    matrix.  A full rank at the point is the generic rank; only a deficient
-    one, which is just a lower bound, runs the elimination over Z[delta]."""
-    r = fraction_rank(poly_mat_evaluate(entries, GENERIC_POINT))
-    return r, r if r == len(entries) else bareiss_det(entries)[0]
+def point_and_generic_rank(g):
+    """(rank at GENERIC_POINT, rank over Z[delta]) of a Gram matrix.  A full
+    rank at the point is the generic rank; only a deficient one, which is
+    just a lower bound, runs the elimination over Z[delta]."""
+    r = fraction_rank(g.evaluate(GENERIC_POINT))
+    return r, r if r == g.dim else bareiss_det(g.dense())[0]
 
 
 @lru_cache(maxsize=None)
 def gram_summary(l, n):
-    """One GramSummary per label at (l, n), each from one Gram build.  The
-    cache holds these tuples, not the matrices, and only within one process:
-    each of verify's worker processes builds its own."""
+    """One GramSummary per label at (l, n).  The cache, like gram_matrix's,
+    lives within one process: each of verify's worker processes builds its
+    own."""
     out = []
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)
-        r, generic = point_and_generic_rank(g.entries)
+        r, generic = point_and_generic_rank(g)
         # a square matrix has det != 0 exactly when its generic rank is full
         out.append(GramSummary(g.mu, g.dim, r, generic == g.dim))
     return tuple(out)
@@ -133,11 +144,7 @@ def top_layer_check(l, n):
     for mvec in gamma.h_subset(l, n):
         for mu in multipartitions_of(mvec):
             g = gram_matrix(mu, l, n)
-            exps = set()
-            for row in g.entries:
-                for e in row:
-                    exps.update(e.c.keys())
-            if len(exps) > 1:
+            if len({k for _, _, k, _ in g.blocks()}) > 1:
                 return False
             if fraction_rank(g.evaluate(1)) != g.dim:
                 return False
@@ -155,38 +162,71 @@ def _random_element(l, n, rng, size=2):
     return x
 
 
+def transpose_times_gram(amap, g):
+    """M^T G as a block dict {(j, c): (k, P)}, for the action map of M."""
+    out = {}
+    for j, e in enumerate(amap):
+        if e:
+            i, k, B = e
+            Bt = list(zip(*B))
+            for c, (kg, X) in g.rows[i].items():
+                out[j, c] = (k + kg, int_mat_mul(Bt, X))
+    return out
+
+
+def gram_times(g, amap):
+    """G M as a block dict {(j, c): (k, P)}, for the action map of M; G is
+    symmetric, so the blocks (j, i) of column i are keyed by rows[i]."""
+    out = {}
+    for c, e in enumerate(amap):
+        if e:
+            i, k, B = e
+            for j in g.rows[i]:
+                kg, X = g.rows[j][i]
+                out[j, c] = (kg + k, int_mat_mul(X, B))
+    return out
+
+
 def contravariance_check(mu, l, n, trials=8, seed=0):
-    """<x.u, w> = <u, x^op.w> exactly in Z[delta], for random elements x."""
+    """<x.u, w> = <u, x^op.w> exactly in Z[delta], for random elements x.
+
+    Checked as M_d^T G = G M_flip(d) for each diagram d in the support of
+    each x.  That is enough: x = sum_d p_d d and x^op = sum_d p_d flip(d),
+    and d -> M_d is linear, so M_x^T G = sum_d p_d M_d^T G = sum_d p_d G
+    M_flip(d) = G M_x^op.  A diagram sends each column block to at most one
+    block, so every block of either side is one monomial product or zero,
+    and the two sides are compared block by block.  Equal block dicts give
+    equal matrices; the converse holds as no product block is zero, each
+    being an invertible matrix times a stored Gram block.
+    """
     rng = random.Random(seed)
     g = gram_matrix(mu, l, n)
     mod = g.module
-    G = g.entries
     for _ in range(trials):
-        x = _random_element(l, n, rng)
-        M = mod.action_element(x)
-        Mop = mod.action_element(x.op())
-        Mt = [[M[j][i] for j in range(mod.dim)] for i in range(mod.dim)]
-        if not poly_mat_eq(poly_mat_mul(Mt, G), poly_mat_mul(G, Mop)):
-            return False
+        for d in _random_element(l, n, rng).terms:
+            lhs = transpose_times_gram(mod.action_map(d), g)
+            if lhs != gram_times(g, mod.action_map(dg.flip(d))):
+                return False
     return True
 
 
 def gram_report(mu, l, n, point=None, want_det=False):
     """JSON-ready Gram data for the command line front end."""
     g = gram_matrix(mu, l, n)
+    entries = g.dense()
     out = {
         "mu": [list(lam) for lam in g.mu],
         "l": l,
         "n": n,
         "dim": g.dim,
-        "entries": [[e.to_json() for e in row] for row in g.entries],
+        "entries": [[e.to_json() for e in row] for row in entries],
     }
     if want_det:
-        out["generic_rank"], det = bareiss_det(g.entries)
+        out["generic_rank"], det = bareiss_det(entries)
         out["det"] = det.to_json()
         out["det_str"] = str(det)
     else:
-        out["generic_rank"] = point_and_generic_rank(g.entries)[1]
+        out["generic_rank"] = point_and_generic_rank(g)[1]
     if point is not None:
         out["rank_at"] = fraction_rank(g.evaluate(point))
         out["at"] = str(point)

@@ -22,10 +22,10 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from .deltapoly import DeltaPoly
 from . import diagram as dg
 from . import gamma
 from .algebra import enumerate_basis
+from .exactla import block_matrix, identity_matrix, int_mat_mul
 from .symmetric import (
     outer_rep,
     hook_dim,
@@ -250,10 +250,12 @@ def standard_dim(mu, l, n):
 class StandardModule:
     """Standard module for a multipartition, with exact Z[delta] action.
 
-    Basis: (profile, tableau-tuple) pairs, profile-major.  The action of a
-    diagram d on basis column (t, v) is computed by composing d with the
-    transversal diagram of t, reducing into the left ideal, and letting the
-    extracted matching permutation act through the symmetric group module.
+    Basis: (profile, tableau-tuple) pairs, profile-major, so the basis falls
+    into one block of rep.dim vectors per transversal profile.  A diagram d
+    composed with the transversal diagram of profile j reduces into the left
+    ideal either below the module's vector (so d kills block j) or to one
+    profile i with a matching sigma and a power delta^k: d sends block j to
+    block i as delta^k times the symmetric-group matrix of sigma^-1.
     """
 
     def __init__(self, mu, l, n):
@@ -269,55 +271,43 @@ class StandardModule:
         self.t_diagrams = [profile_diagram(p, self.mvec, l, n) for p in self.profiles]
         self.rep = outer_rep(self.mu)
         self.dim = len(self.profiles) * self.rep.dim
-        self._action_cache = {}
 
     def basis_labels(self):
         return [
             (p, w) for p in self.profiles for w in self.rep.basis
         ]
 
-    def action_matrix(self, d):
-        """Matrix of a single diagram acting on the module (columns map)."""
-        if d in self._action_cache:
-            return self._action_cache[d]
-        r = self.rep.dim
-        dim = self.dim
-        M = [[DeltaPoly.zero() for _ in range(dim)] for _ in range(dim)]
-        for tj, tdiag in enumerate(self.t_diagrams):
+    @lru_cache(maxsize=None)
+    def action_map(self, d):
+        """The action of diagram d as a tuple over column blocks j, each
+        None (d sends block j to zero) or (i, k, B): d sends block j to
+        block i as delta^k times the invertible integer matrix B.  Built
+        once per d; the B are shared and must not be changed."""
+        out = []
+        for tdiag in self.t_diagrams:
             k, q = dg.compose(d, tdiag)
             res = decompose_left_term(q, self.mvec, self.l, self.n)
             if res is None:
+                out.append(None)
                 continue
             prof, sigma = res
-            ti = self.profile_index[prof]
-            blk = self.rep.matrix(tuple(perm_inverse(p) for p in sigma))
-            coeff = DeltaPoly.delta(k)
-            for a in range(r):
-                row = M[ti * r + a]
-                for b in range(r):
-                    v = blk[a][b]
-                    if v:
-                        row[tj * r + b] = row[tj * r + b] + coeff * v
-        self._action_cache[d] = M
-        return M
+            B = self.rep.matrix(tuple(perm_inverse(p) for p in sigma))
+            out.append((self.profile_index[prof], k, B))
+        return tuple(out)
 
-    def action_element(self, x):
-        """Matrix of an algebra Element (linear combination of diagrams)."""
-        dim = self.dim
-        M = [[DeltaPoly.zero() for _ in range(dim)] for _ in range(dim)]
-        for d, p in x.terms.items():
-            Md = self.action_matrix(d)
-            for i in range(dim):
-                for j in range(dim):
-                    if not Md[i][j].is_zero():
-                        M[i][j] = M[i][j] + p * Md[i][j]
-        return M
+    def dense_action(self, d):
+        """The dim x dim DeltaPoly matrix of d's action, for output."""
+        blocks = ((e[0], j) + e[1:] for j, e in enumerate(self.action_map(d)) if e)
+        return block_matrix(blocks, len(self.profiles), self.rep.dim)
 
-    def generator_matrices(self):
-        return {
-            name: self.action_matrix(d)
-            for name, d in generator_diagrams(self.l, self.n).items()
-        }
+
+def map_product(P, Q):
+    """The action map of M_P * M_Q: block j goes through Q, then P."""
+    out = []
+    for q in Q:
+        p = q and P[q[0]]
+        out.append(p and (p[0], p[1] + q[1], int_mat_mul(p[2], q[2])))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -371,30 +361,18 @@ def globalise_module_check(mu, l, n):
         if q not in big.profile_index:
             return False
         emb.append(big.profile_index[q])
-    r = small.rep.dim
-    emb_idx = [e * r + a for e in emb for a in range(r)]
-    emb_set = set(emb_idx)
     wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
-    Mw = big.action_matrix(wbar)
-    delta = DeltaPoly.delta(1)
-    for col in emb_idx:
-        for i in range(big.dim):
-            want = delta if i == col else DeltaPoly.zero()
-            if Mw[i][col] != want:
+    Mw = big.action_map(wbar)
+    one = identity_matrix(big.rep.dim)
+    if any(Mw[e] != (e, 1, one) for e in emb):
+        return False
+    for gd in generator_diagrams(l, n - l).values():
+        Mb = big.action_map(dg.tensor(gd, dg.ww_star(l)))
+        Ms = small.action_map(gd)
+        for cj, e in enumerate(Ms):
+            want = e and (emb[e[0]], e[1] + 1, e[2])
+            if Mb[emb[cj]] != want:
                 return False
-    gens = generator_diagrams(l, n - l)
-    for name, gd in gens.items():
-        ghat = dg.tensor(gd, dg.ww_star(l))
-        Mb = big.action_matrix(ghat)
-        Ms = small.action_matrix(gd)
-        for cj, col in enumerate(emb_idx):
-            for i in range(big.dim):
-                if i in emb_set:
-                    want = delta * Ms[emb_idx.index(i)][cj]
-                else:
-                    want = DeltaPoly.zero()
-                if Mb[i][col] != want:
-                    return False
     return True
 
 
@@ -406,9 +384,7 @@ def vanishing_top_layer_check(l, n):
     wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
     for mvec in gamma.h_subset(l, n):
         for mu in multipartitions_of(mvec):
-            mod = standard_module(mu, l, n)
-            M = mod.action_matrix(wbar)
-            if any(not e.is_zero() for row in M for e in row):
+            if any(standard_module(mu, l, n).action_map(wbar)):
                 return False
     return True
 

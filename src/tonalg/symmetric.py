@@ -406,8 +406,10 @@ class OuterRep:
             F = kron(F, f.form)
         self.form = F
 
+    @lru_cache(maxsize=None)
     def matrix(self, sigma):
-        """Matrix of a tuple of permutations, one per factor."""
+        """Matrix of a tuple of permutations, one per factor, built once per
+        tuple: callers share it and must not change it."""
         M = [[1]]
         for f, p in zip(self.factors, sigma):
             M = kron(M, f.matrix(p))

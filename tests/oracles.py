@@ -1,10 +1,16 @@
 """Plain routes kept as oracles for the tests: a generic set-partition
-generator, the transversal as a filter over every set partition, and the
-three-sort polar decomposition.  None of these is used by the library."""
+generator, the transversal as a filter over every set partition, the
+three-sort polar decomposition, and dense Z[delta] matrices: their product
+and equality, each diagram's action matrix and each Gram matrix built entry
+by entry.  None of these is used by the library."""
 
 from itertools import combinations
 
 from tonalg import diagram as dg
+from tonalg.deltapoly import DeltaPoly
+from tonalg.exactla import int_mat_mul
+from tonalg.standard_modules import decompose_left_term, standard_module
+from tonalg.symmetric import perm_inverse
 
 
 def set_partitions(items):
@@ -96,3 +102,76 @@ def plain_polar_decompose(p, l):
                 perm[tpos[t]] = bpos[bb]
         sigma.append(tuple(perm))
     return tuple(sorted(top_prof)), tuple(sigma), tuple(sorted(bot_prof)), mvec
+
+
+def poly_mat(M):
+    """Coerce an int/DeltaPoly matrix to an all-DeltaPoly matrix."""
+    return [[x if isinstance(x, DeltaPoly) else DeltaPoly.const(x) for x in row] for row in M]
+
+
+def poly_mat_mul(A, B):
+    A, B = poly_mat(A), poly_mat(B)
+    rows, inner, cols = len(A), len(B), len(B[0])
+    out = [[DeltaPoly.zero() for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for t in range(inner):
+            a = A[i][t]
+            if not a.is_zero():
+                for j in range(cols):
+                    if not B[t][j].is_zero():
+                        out[i][j] = out[i][j] + a * B[t][j]
+    return out
+
+
+def poly_mat_eq(A, B):
+    return poly_mat(A) == poly_mat(B)
+
+
+def poly_mat_transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def dense_action(mod, d):
+    """The dim x dim DeltaPoly matrix of a diagram acting on a standard
+    module, written entry by entry: each transversal diagram composed with
+    d, reduced into the left ideal, with the slot matching acting on the
+    tableau factor."""
+    r = mod.rep.dim
+    M = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
+    for tj, tdiag in enumerate(mod.t_diagrams):
+        k, q = dg.compose(d, tdiag)
+        res = decompose_left_term(q, mod.mvec, mod.l, mod.n)
+        if res is None:
+            continue
+        prof, sigma = res
+        ti = mod.profile_index[prof]
+        blk = mod.rep.matrix(tuple(perm_inverse(p) for p in sigma))
+        for a in range(r):
+            for b in range(r):
+                if blk[a][b]:
+                    M[ti * r + a][tj * r + b] += DeltaPoly.delta(k, blk[a][b])
+    return M
+
+
+def ordered_pair_gram(mu, l, n):
+    """(entries, block exponents) of the Gram matrix built over every ordered
+    pair (i, j) of transversal diagrams, with no use of symmetry."""
+    mod = standard_module(mu, l, n)
+    r = mod.rep.dim
+    entries = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
+    exps = {}
+    for i, ti in enumerate(mod.t_diagrams):
+        fi = dg.flip(ti)
+        for j, tj in enumerate(mod.t_diagrams):
+            k, g = dg.compose(fi, tj)
+            res = decompose_left_term(g, mod.mvec, l, n)
+            if res is None:
+                continue
+            sigma = res[1]
+            blk = int_mat_mul(mod.rep.form, mod.rep.matrix(tuple(perm_inverse(p) for p in sigma)))
+            exps[(i, j)] = k
+            for a in range(r):
+                for b in range(r):
+                    if blk[a][b]:
+                        entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
+    return entries, exps

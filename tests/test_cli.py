@@ -289,3 +289,22 @@ def test_verify_refuses_bad_thread_count(capsys, monkeypatch, threads):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: TONALG_THREADS")
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["module", "--l", "2", "--n", "5", "--mu=1|1", "--matrices"], 0),
+    (["basis", "--l", "2", "--n", "5"], 300),
+])
+def test_closed_output_pipe_exits_2_without_traceback(argv, read):
+    # the reader goes away early: before any output, or after 300 bytes of
+    # an output far larger than a pipe holds
+    path = [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.Popen([sys.executable, "-m", "tonalg.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1 and len(err.splitlines()) <= 1

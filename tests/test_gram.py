@@ -10,9 +10,10 @@ from tonalg import gram as gr
 from tonalg.algebra import Element
 from tonalg.cli import main
 from tonalg.deltapoly import DeltaPoly
-from tonalg.exactla import bareiss_det, fraction_rank, poly_mat, poly_mat_mul, poly_mat_eq, int_mat_mul
-from tonalg.standard_modules import all_labels, decompose_left_term, standard_module
-from tonalg.symmetric import perm_inverse
+from tonalg.exactla import bareiss_det, fraction_rank
+from tonalg.standard_modules import all_labels, standard_module
+
+from oracles import ordered_pair_gram, poly_mat, poly_mat_eq, poly_mat_mul, poly_mat_transpose
 
 
 def _divexact(num, den):
@@ -88,6 +89,22 @@ def fraction_rank_oracle(M):
     return r
 
 
+class DenseGram:
+    """A Gram matrix given by its dense entries."""
+
+    mu = ((1,), ())
+
+    def __init__(self, entries):
+        self.entries = poly_mat(entries)
+        self.dim = len(entries)
+
+    def dense(self):
+        return self.entries
+
+    def evaluate(self, x):
+        return [[e.evaluate(x) for e in row] for row in self.entries]
+
+
 @lru_cache(maxsize=None)
 def _grams(l, n):
     return tuple(gr.gram_matrix(mu, l, n) for mu in all_labels(l, n))
@@ -99,28 +116,27 @@ def test_worked_four_by_four():
     assert g.dim == 4
     d = DeltaPoly.delta(1)
     one = DeltaPoly.one()
-    diag = [g.entries[i][i] for i in range(4)]
+    G = g.dense()
+    diag = [G[i][i] for i in range(4)]
     assert sorted(str(x) for x in diag) == ["1", "d", "d", "d"]
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert g.entries[i][j] == one
-    assert bareiss_det(g.entries) == (4, (d - 1) * (d - 1) * (d - 1))
+                assert G[i][j] == one
+    assert bareiss_det(G) == (4, (d - 1) * (d - 1) * (d - 1))
 
 
 def test_symmetry():
     for l, n, mu in [(2, 3, ((1,), ())), (2, 4, ((2,), ())), (2, 4, ((), (1,))),
                      (3, 3, ((1,), (1,), ())), (1, 3, ((1,),))]:
-        g = gr.gram_matrix(mu, l, n)
-        for i in range(g.dim):
-            for j in range(g.dim):
-                assert g.entries[i][j] == g.entries[j][i]
+        G = gr.gram_matrix(mu, l, n).dense()
+        assert G == [list(col) for col in zip(*G)]
 
 
 def test_one_dimensional_top_module():
     g = gr.gram_matrix(((3,), ()), 2, 3)
     assert g.dim == 1
-    assert g.entries[0][0] == DeltaPoly.one()
+    assert g.dense()[0][0] == DeltaPoly.one()
 
 
 def test_top_layer_blocks_are_diagonal():
@@ -128,20 +144,22 @@ def test_top_layer_blocks_are_diagonal():
     # blocks vanish
     g = gr.gram_matrix(((1,), (1,)), 2, 3)
     assert g.dim == 3
+    G = g.dense()
     for i in range(3):
         for j in range(3):
             if i == j:
-                assert g.entries[i][j] == DeltaPoly.one()
+                assert G[i][j] == DeltaPoly.one()
             else:
-                assert g.entries[i][j].is_zero()
+                assert G[i][j].is_zero()
 
 
 def test_diagonal_degree_dominates_row():
     g = gr.gram_matrix(((1,), ()), 2, 3)
+    G = g.dense()
     strict = 0
     for i in range(g.dim):
-        dd = g.entries[i][i].degree()
-        row_max = max(g.entries[i][j].degree() for j in range(g.dim) if j != i)
+        dd = G[i][i].degree()
+        row_max = max(G[i][j].degree() for j in range(g.dim) if j != i)
         assert dd >= row_max
         if dd > row_max:
             strict += 1
@@ -158,7 +176,7 @@ def test_generic_rank_full():
     for l, n in [(2, 3), (2, 4), (3, 4)]:
         for mu in all_labels(l, n):
             g = gr.gram_matrix(mu, l, n)
-            rank, det = bareiss_det(g.entries)
+            rank, det = bareiss_det(g.dense())
             assert rank == g.dim and not det.is_zero()
 
 
@@ -169,7 +187,7 @@ def test_elimination_matches_sympy_at_points():
     for l, n in [(2, 3), (2, 4), (3, 4), (1, 3)]:
         for mu in all_labels(l, n):
             g = gr.gram_matrix(mu, l, n)
-            rank, det = bareiss_det(g.entries)
+            rank, det = bareiss_det(g.dense())
             ranks = []
             for x in (1, 13, 101):
                 S = sympy.Matrix(g.evaluate(x))
@@ -181,7 +199,8 @@ def test_elimination_matches_sympy_at_points():
 def test_bareiss_det_matches_polynomial_oracle():
     grams = [g for l, n in [(2, 4), (3, 5), (2, 5)] for g in _grams(l, n)]
     for g in grams + [gr.gram_matrix(((1,),), 1, 4)]:
-        assert bareiss_det(g.entries) == poly_bareiss_oracle(g.entries), (g.l, g.n, g.mu)
+        G = g.dense()
+        assert bareiss_det(G) == poly_bareiss_oracle(G), (g.l, g.n, g.mu)
 
 
 def test_fraction_rank_matches_fraction_oracle():
@@ -195,7 +214,7 @@ def test_fraction_rank_matches_fraction_oracle():
 def test_too_narrow_packing_breaks_the_oracle_comparison(monkeypatch):
     # negative control: B = 2**4 cannot hold the determinants' coefficients
     monkeypatch.setattr(exactla, "_packing_width", lambda P: 4)
-    assert any(bareiss_det(g.entries) != poly_bareiss_oracle(g.entries) for g in _grams(2, 4))
+    assert any(bareiss_det(g.dense()) != poly_bareiss_oracle(g.dense()) for g in _grams(2, 4))
 
 
 def test_negative_exponent_is_refused():
@@ -223,13 +242,13 @@ def test_elimination_of_singular_and_nonsquare_matrices():
 def test_certificate_falls_back_to_elimination():
     # rank 0 at the generic point, yet delta - P is a nonzero polynomial
     entries = [[DeltaPoly.delta(1) - gr.GENERIC_POINT]]
-    assert gr.point_and_generic_rank(entries) == (0, 1)
+    assert gr.point_and_generic_rank(DenseGram(entries)) == (0, 1)
 
 
 def test_certificate_rejects_generically_singular_matrix():
     d = DeltaPoly.delta(1)
     entries = poly_mat([[d, 1, 2], [d, 1, 2], [1, d, d * d]])
-    assert gr.point_and_generic_rank(entries) == (2, 2)
+    assert gr.point_and_generic_rank(DenseGram(entries)) == (2, 2)
 
 
 def test_gram_summary_builds_each_label_once_without_elimination(monkeypatch):
@@ -246,6 +265,7 @@ def test_gram_summary_builds_each_label_once_without_elimination(monkeypatch):
     monkeypatch.setattr(gr.GramMatrix, "__init__", counted)
     monkeypatch.setattr(gr, "bareiss_det", no_elimination)
     gr.gram_summary.cache_clear()
+    gr.gram_matrix.cache_clear()
     first = gr.gram_summary(2, 4)
     assert gr.gram_summary(2, 4) is first
     assert sorted(builds) == sorted((mu, 2, 4) for mu in all_labels(2, 4))
@@ -287,13 +307,11 @@ def test_contravariance_with_noninvolutive_matchings():
     assert gr.contravariance_check(((2, 1), (1,)), 2, 5, trials=3, seed=9)
     # explicit generator instances
     mod = standard_module(((1,), ()), 2, 3)
-    g = gr.gram_matrix(((1,), ()), 2, 3)
+    G = gr.gram_matrix(((1,), ()), 2, 3).dense()
     for d in [dg.identity(3), dg.transposition(1, 3), dg.W(2, 3), dg.A(1, 2, 3)]:
-        x = Element.from_diagram(d, 2)
-        M = mod.action_element(x)
-        Mop = mod.action_element(x.op())
-        Mt = [[M[j][i] for j in range(mod.dim)] for i in range(mod.dim)]
-        assert poly_mat_eq(poly_mat_mul(Mt, g.entries), poly_mat_mul(g.entries, Mop))
+        Mt = poly_mat_transpose(mod.dense_action(d))
+        Mop = mod.dense_action(dg.flip(d))
+        assert poly_mat_eq(poly_mat_mul(Mt, G), poly_mat_mul(G, Mop))
 
 
 def test_socle_evidence_at_delta_one():
@@ -309,7 +327,7 @@ def test_socle_evidence_at_delta_one():
         wi = dg.perm_diagram(tuple(p.index(i) for i in range(3)), 3)
         _, c1 = dg.compose(w, a11)
         _, conj = dg.compose(c1, wi)
-        M = mod.action_matrix(conj)
+        M = mod.dense_action(conj)
         stacked.extend([e.evaluate(1) for e in row] for row in M)
     assert fraction_rank(stacked) == mod.dim
 
@@ -349,7 +367,7 @@ def test_gram_cli_without_det_matches_elimination_rank(capsys, l, n):
         plain = capsys.readouterr().out
         assert main(argv + ["--det"]) == 0
         full = json.loads(capsys.readouterr().out)
-        assert full["generic_rank"] == bareiss_det(gr.gram_matrix(mu, l, n).entries)[0]
+        assert full["generic_rank"] == bareiss_det(gr.gram_matrix(mu, l, n).dense())[0]
         del full["det"], full["det_str"]
         assert plain == json.dumps(full, sort_keys=True, separators=(",", ":")) + "\n", mu
 
@@ -364,14 +382,13 @@ def test_gram_cli_without_det_runs_no_elimination(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["generic_rank"] > 0
 
 
-class _StubGram:
+class _StubGram(DenseGram):
     # generic rank 2, but rank 1 at GENERIC_POINT
-    mu = ((1,), ())
-    dim = 2
-    entries = poly_mat([[DeltaPoly.delta(1) - gr.GENERIC_POINT, 0], [0, 1]])
+    def __init__(self):
+        super().__init__(_STUB_ENTRIES)
 
-    def evaluate(self, x):
-        return gr.poly_mat_evaluate(self.entries, x)
+
+_STUB_ENTRIES = poly_mat([[DeltaPoly.delta(1) - gr.GENERIC_POINT, 0], [0, 1]])
 
 
 def test_gram_report_deficient_point_rank_falls_back_to_elimination(monkeypatch):
@@ -385,31 +402,7 @@ def test_gram_report_deficient_point_rank_falls_back_to_elimination(monkeypatch)
     monkeypatch.setattr(gr, "bareiss_det", counted)
     assert fraction_rank(_StubGram().evaluate(gr.GENERIC_POINT)) == 1
     assert gr.gram_report(_StubGram.mu, 2, 1)["generic_rank"] == 2
-    assert calls == [_StubGram.entries]
-
-
-def ordered_pair_gram(mu, l, n):
-    """(entries, block_exponents) built over every ordered pair (i, j) of
-    transversal diagrams, with no use of symmetry."""
-    mod = standard_module(mu, l, n)
-    r = mod.rep.dim
-    entries = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
-    exps = {}
-    for i, ti in enumerate(mod.t_diagrams):
-        fi = dg.flip(ti)
-        for j, tj in enumerate(mod.t_diagrams):
-            k, g = dg.compose(fi, tj)
-            res = decompose_left_term(g, mod.mvec, l, n)
-            if res is None:
-                continue
-            sigma = res[1]
-            blk = int_mat_mul(mod.rep.form, mod.rep.matrix(tuple(perm_inverse(p) for p in sigma)))
-            exps[(i, j)] = k
-            for a in range(r):
-                for b in range(r):
-                    if blk[a][b]:
-                        entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
-    return entries, exps
+    assert calls == [_STUB_ENTRIES]
 
 
 @pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5), (2, 5)])
@@ -417,5 +410,5 @@ def test_gram_build_matches_ordered_pairs(l, n):
     for mu in all_labels(l, n):
         g = gr.gram_matrix(mu, l, n)
         entries, exps = ordered_pair_gram(g.mu, l, n)
-        assert g.entries == entries, mu
-        assert g.block_exponents == exps, mu
+        assert g.dense() == entries, mu
+        assert {(i, j): k for i, j, k, _ in g.blocks()} == exps, mu
