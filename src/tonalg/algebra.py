@@ -235,6 +235,40 @@ def corner_images(e, l):
     }
 
 
+def generated_hom_check(gens, images, mul):
+    """Is the basis images.keys() closed under compose up to delta, with
+    q -> images[q] multiplicative, delta exponents included?  mul(x, y) is
+    (j, z) for x*y = delta^j z on the image side; gens are basis elements.
+
+    Checked, for every generator g and basis element q: g*q = delta^j r
+    with r in the basis and mul(images[g], images[q]) == (j, images[r]);
+    and every basis element is reached from the generators along these
+    products (q to g*q), so each is a word in them.  This proves the claim
+    for every pair q1, q2, by induction along the word of q1: for a
+    generator it is checked; if g*p = delta^a q1 and it holds for p, then
+    p*q2 = delta^b s and g*s = delta^c t, so by associativity delta^a
+    q1*q2 = delta^(b+c) t and delta^a images[q1]*images[q2] = delta^(b+c)
+    images[t].  Diagrams being a basis, q1*q2 = delta^(b+c-a) t and
+    likewise for the images.  Generators that do not generate leave some
+    element unreached, and the check returns False.
+    """
+    step = {q: [] for q in images}
+    for g in gens:
+        for q in images:
+            j, r = dg.compose(g, q)
+            if r not in images or mul(images[g], images[q]) != (j, images[r]):
+                return False
+            step[q].append(r)
+    seen = set(gens)
+    todo = list(seen)
+    while todo:
+        for r in step[todo.pop()]:
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return len(seen) == len(images)
+
+
 def corner_iso_check(e, l, small_l):
     """Is the corner e*A*e of the l-tone algebra A, for a diagram e, the
     small_l-tone algebra on k strands, k the number of parts of e in each
@@ -245,11 +279,13 @@ def corner_iso_check(e, l, small_l):
     corner basis sandwich_middles(e, e, l), so the basis is fixed by the
     compression and spans e*A*e (each e*p*e is some e*c*e up to delta);
     the sorted images of corner_images equal enumerate_basis(small_l, k,
-    k), so the contraction is a bijection onto that basis; and for every
-    ordered pair q1*q2 = delta^j r with r in the corner and
-    image(q1)*image(q2) = delta^j image(r).  Raises DiagramError as
-    corner_images does.
+    k), so the contraction is a bijection onto that basis; and
+    generated_hom_check with compose on both sides, the generators being
+    the preimages of identity(k) and of generator_diagrams(small_l, k).
+    Raises DiagramError as corner_images does.
     """
+    from .standard_modules import generator_diagrams
+
     k, images = corner_images(e, l)
     for q in images:
         k1, r1 = dg.compose(e, q)
@@ -258,12 +294,9 @@ def corner_iso_check(e, l, small_l):
             return False
     if sorted(images.values()) != list(enumerate_basis(small_l, k, k)):
         return False
-    for q1, s1 in images.items():
-        for q2, s2 in images.items():
-            j, r = dg.compose(q1, q2)
-            if r not in images or dg.compose(s1, s2) != (j, images[r]):
-                return False
-    return True
+    preimage = {s: q for q, s in images.items()}
+    gens = [preimage[s] for s in [dg.identity(k), *generator_diagrams(small_l, k).values()]]
+    return generated_hom_check(gens, images, dg.compose)
 
 
 def basis_blocks(l, n, m):

@@ -48,32 +48,32 @@ class FiltrationMultiset:
         return self.sub + self.quo
 
 
-def restrict_rule(lam, l, nplus1):
-    """Filtration labels of the restriction from n+1 to n strands.
+def _class_labels(lam, l, nplus1):
+    """The labels at n = nplus1 - 1 that each first-vertex class of the
+    restriction carries, in the key order of classify_basis: class 1 a box
+    removed in component 1, class i (2 <= i <= l) a box moved from
+    component i to i-1, "lp" a box moved from component 1 to l, and class
+    0, the quotient, a box added in component l-1 (for l = 1: the label
+    itself and a box added in the only component).  Labels with invalid
+    vectors at n are dropped."""
+    table = {1: rem_boxes(lam, 1)}
+    for i in range(2, l + 1):
+        table[i] = [mu for nu in rem_boxes(lam, i) for mu in add_boxes(nu, i - 1)]
+    table["lp"] = [mu for nu in rem_boxes(lam, 1) for mu in add_boxes(nu, l)]
+    table[0] = [lam] + add_boxes(lam, 1) if l == 1 else add_boxes(lam, l - 1)
+    return {c: [mu for mu in labels if _valid(mu, l, nplus1 - 1)] for c, labels in table.items()}
 
-    Submodule part: box moves i+1 -> i for 1 <= i <= l-1, the move 1 -> l,
-    and plain removal in component 1.  Quotient part: a box added in
-    component l-1 (for l = 1: the label itself and a box added in the only
-    component).  Labels with invalid vectors at n are dropped.
-    """
+
+def restrict_rule(lam, l, nplus1):
+    """Filtration labels of the restriction from n+1 to n strands: the
+    submodule part joins the nonzero classes of _class_labels, the quotient
+    part is class 0."""
     lam = tuple(tuple(x) for x in lam)
     if len(lam) != l or not _valid(lam, l, nplus1):
         raise dg.DiagramError("invalid label %r for l=%d, n=%d" % (lam, l, nplus1))
-    n = nplus1 - 1
-    sub = []
-    for i in range(1, l):
-        for nu in rem_boxes(lam, i + 1):
-            sub.extend(add_boxes(nu, i))
-    for nu in rem_boxes(lam, 1):
-        sub.extend(add_boxes(nu, l))
-    sub.extend(rem_boxes(lam, 1))
-    if l == 1:
-        quo = [lam] + add_boxes(lam, 1)
-    else:
-        quo = add_boxes(lam, l - 1)
-    sub = [mu for mu in sub if _valid(mu, l, n)]
-    quo = [mu for mu in quo if _valid(mu, l, n)]
-    return FiltrationMultiset(sub, quo)
+    table = _class_labels(lam, l, nplus1)
+    sub = [mu for c, labels in table.items() if c != 0 for mu in labels]
+    return FiltrationMultiset(sub, table[0])
 
 
 def first_vertex_class(profile, l):
@@ -109,26 +109,11 @@ def classify_basis(lam, l, nplus1):
 def classified_dim_checks(lam, l, nplus1):
     """Each first-vertex class carries exactly the dimensions of its labels."""
     lam = tuple(tuple(x) for x in lam)
-    n = nplus1 - 1
     counts, _ = classify_basis(lam, l, nplus1)
-
-    def total(labels):
-        return sum(standard_dim(mu, l, n) for mu in labels if _valid(mu, l, n))
-
-    checks = {1: total(rem_boxes(lam, 1))}
-    for i in range(2, l + 1):
-        part = []
-        for nu in rem_boxes(lam, i):
-            part.extend(add_boxes(nu, i - 1))
-        checks[i] = total(part)
-    lp = []
-    for nu in rem_boxes(lam, 1):
-        lp.extend(add_boxes(nu, l))
-    checks["lp"] = total(lp)
-    if l == 1:
-        checks[0] = total([lam]) + total(add_boxes(lam, 1))
-    else:
-        checks[0] = total(add_boxes(lam, l - 1))
+    checks = {
+        c: sum(standard_dim(mu, l, nplus1 - 1) for mu in labels)
+        for c, labels in _class_labels(lam, l, nplus1).items()
+    }
     return all(counts[k] == checks[k] for k in counts), counts, checks
 
 

@@ -3,11 +3,12 @@ quotient, with desk-scale verification of the hereditary-ideal conditions:
 (pre)idempotent generators, section dimensions, and matching-group corners.
 """
 
+from functools import lru_cache
 from math import factorial
 
 from . import diagram as dg
 from . import gamma
-from .algebra import enumerate_basis, sandwich_middles
+from .algebra import enumerate_basis, generated_hom_check, sandwich_middles
 from .standard_modules import InvariantError, polar_decompose, transversal, vector_counts
 
 
@@ -88,21 +89,13 @@ def corner_group_check(mvec, l, n):
 
     The survivors are the b_m*c*b_m of vector m, c over
     sandwich_middles(b_m, b_m, l): the same set as over the whole basis.
-    The table composes each generator with each survivor, the generators
-    being the survivor whose matching is the identity and those whose
-    matching is one adjacent transposition in one class.  This is exact:
-
-    * `match` is injective and maps into G = prod S_{m_i}, which has as
-      many elements as there are survivors, so it is a bijection onto G;
-    * the generators' images generate G;
-    * the check gives g*q = delta^0 r with r a survivor and match(r) =
-      match(g) then match(q) for every generator g and survivor q, so by
-      injectivity every survivor is a word in the generators applied to
-      the identity survivor e, and e*q = q;
-    * compose is associative with delta exponents adding, so a product of
-      two survivors is that word applied to the second one: it closes with
-      k = 0, and match is a homomorphism (into the opposite group) for
-      every pair.
+    Checked: there are as many survivors as elements of G = prod S_{m_i},
+    and `match` maps them injectively into G, so onto it; and
+    generated_hom_check with delta exponent 0 on G, the generators being
+    the survivors matching the identity and one adjacent transposition in
+    one class.  So every product of two survivors is a survivor, with
+    delta^0, and match is a homomorphism into the opposite group:
+    match(q1*q2) is match(q1) then match(q2).
     """
     if not any(mvec):
         return True, 1
@@ -118,15 +111,9 @@ def corner_group_check(mvec, l, n):
         want *= factorial(x)
     if len(survivors) != want:
         return False, want
-    elems = sorted(survivors)
-    match = {}
-    for q in elems:
-        sig = _matching_of(q, bm, l)
-        if sig is None:
-            return False, want
-        match[q] = sig
+    match = {q: _matching_of(q, bm, l) for q in survivors}
     by_match = {s: q for q, s in match.items()}
-    if len(by_match) != want:
+    if None in by_match or len(by_match) != want:
         return False, want
     ident = tuple(tuple(range(x)) for x in mvec)
     gens = [by_match[ident]]
@@ -135,28 +122,25 @@ def corner_group_check(mvec, l, n):
             s = list(ident)
             s[i] = ident[i][:j] + (j + 1, j) + ident[i][j + 2:]
             gens.append(by_match[tuple(s)])
-    for g in gens:
-        s1 = match[g]
-        for q in elems:
-            k, r = dg.compose(g, q)
-            if k != 0 or r not in match:
-                return False, want
-            s2 = match[q]
-            comp = tuple(
-                tuple(s2[i][s1[i][k_]] for k_ in range(len(s1[i])))
-                for i in range(l)
-            )
-            if comp != match[r]:
-                return False, want
-    return True, want
+
+    def then(s1, s2):
+        return 0, tuple(tuple(b[x] for x in a) for a, b in zip(s1, s2))
+
+    return generated_hom_check(gens, match, then), want
+
+
+@lru_cache(maxsize=None)
+def _profiles(d, l):
+    """(top profile, bottom profile) of d, decomposed once per diagram."""
+    top, _, bottom, _ = polar_decompose(d, l)
+    return top, bottom
 
 
 def _matching_of(q, bm, l):
     """Per-class matching of a diagram carrying the absorbing layout: its
     sigma when both its profiles are those of bm, else None."""
     top, sigma, bottom, _ = polar_decompose(q, l)
-    want_top, _, want_bottom, _ = polar_decompose(bm, l)
-    return sigma if (top, bottom) == (want_top, want_bottom) else None
+    return sigma if (top, bottom) == _profiles(bm, l) else None
 
 
 def section_checks(l, n, delta0=None):

@@ -3,11 +3,10 @@
 Specht modules are realised as polytabloid spans inside the tabloid
 permutation module, with the tabloid inner product as bilinear form.  The
 standard-tableau polytabloids are a Z-basis; generator matrices are solved
-exactly and verified integral.  Tableaux are encoded as row sequences, e.g.
-the shape (3,1) has standard sequences 1112, 1121, 1211.
+over Z by forward substitution and verified.  Tableaux are encoded as row
+sequences, e.g. the shape (3,1) has standard sequences 1112, 1121, 1211.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -286,8 +285,7 @@ class SpechtRep:
         self._E = E
         self._tabs = tabs
         self._tab_index = tab_index
-        self._pivot_rows = _independent_rows(E, self.dim)
-        self._inv_pivot = _fraction_inverse([E[r] for r in self._pivot_rows])
+        self._pivot_rows = [tab_index[seq] for seq in self.basis]
         self.gens = [self._generator_matrix(i) for i in range(1, k)]
         Et = [[E[r][c] for r in range(len(tabs))] for c in range(self.dim)]
         self.form = int_mat_mul(Et, E)
@@ -303,16 +301,16 @@ class SpechtRep:
         PE = [E[0][:] for _ in range(len(E))]
         for r in range(len(E)):
             PE[permuted[r]] = E[r]
-        rhs = [PE[r] for r in self._pivot_rows]
-        M = _fraction_mat_mul(self._inv_pivot, rhs)
+        # on the rows of the standard tabloids {t}, E is lower unitriangular
+        # (James, Lemma 8.3: {t} is the last tabloid of e_t in dominance,
+        # which lex order extends), so E*M = PE solves by substitution
         out = []
-        for row in M:
-            orow = []
-            for x in row:
-                if x.denominator != 1:
-                    raise ArithmeticError("non-integral Specht action")
-                orow.append(int(x))
-            out.append(orow)
+        for i, r in enumerate(self._pivot_rows):
+            row = list(PE[r])
+            for j in range(i):
+                if E[r][j]:
+                    row = [a - E[r][j] * b for a, b in zip(row, out[j])]
+            out.append(row)
         # exactness check: E * M == P * E
         if int_mat_mul(E, out) != PE:
             raise ArithmeticError("Specht generator solve failed")
@@ -335,56 +333,6 @@ def specht_rep(lam):
 
 def specht_dim(lam):
     return hook_dim(tuple(lam))
-
-
-def _independent_rows(E, d):
-    """Indices of d rows of E forming an invertible submatrix."""
-    rows = [[Fraction(x) for x in row] for row in E]
-    chosen = []
-    basis = []
-    for idx, row in enumerate(rows):
-        r = row[:]
-        for brow in basis:
-            lead = next((j for j, x in enumerate(brow) if x), None)
-            if lead is not None and r[lead]:
-                f = r[lead] / brow[lead]
-                r = [a - f * b for a, b in zip(r, brow)]
-        if any(r):
-            basis.append(r)
-            chosen.append(idx)
-            if len(chosen) == d:
-                return chosen
-    raise ArithmeticError("polytabloid matrix is rank deficient")
-
-
-def _fraction_inverse(M):
-    d = len(M)
-    A = [[Fraction(M[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if A[r][col])
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(d):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[d:] for row in A]
-
-
-def _fraction_mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(cols):
-                    Oi[j] += a * Bt[j]
-    return out
 
 
 class OuterRep:

@@ -1,12 +1,14 @@
 """Plain routes kept as oracles for the tests: a generic set-partition
 generator, the transversal as a filter over every set partition, the
-three-sort polar decomposition, and dense Z[delta] matrices: their product
+three-sort polar decomposition, dense Z[delta] matrices: their product
 and equality, each diagram's action matrix and each Gram matrix built entry
-by entry.  None of these is used by the library."""
+by entry, and the corner isomorphism checked on every ordered pair.  None
+of these is used by the library."""
 
 from itertools import combinations
 
 from tonalg import diagram as dg
+from tonalg.algebra import corner_images, enumerate_basis
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import int_mat_mul
 from tonalg.standard_modules import decompose_left_term, standard_module
@@ -175,3 +177,22 @@ def ordered_pair_gram(mu, l, n):
                     if blk[a][b]:
                         entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
     return entries, exps
+
+
+def pair_sweep_corner_iso_check(e, l, small_l):
+    """corner_iso_check with the structure constants compared on every
+    ordered pair of the corner basis instead of generators times basis."""
+    k, images = corner_images(e, l)
+    for q in images:
+        k1, r1 = dg.compose(e, q)
+        k2, r2 = dg.compose(r1, e)
+        if (k1 + k2, r2) != (0, q):
+            return False
+    if sorted(images.values()) != list(enumerate_basis(small_l, k, k)):
+        return False
+    for q1, s1 in images.items():
+        for q2, s2 in images.items():
+            j, r = dg.compose(q1, q2)
+            if r not in images or dg.compose(s1, s2) != (j, images[r]):
+                return False
+    return True

@@ -5,6 +5,7 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
+from tonalg import algebra
 from tonalg.algebra import (
     Element,
     basis_blocks,
@@ -19,7 +20,7 @@ from tonalg.algebra import (
 from tonalg.deltapoly import DeltaPoly
 from tonalg.standard_modules import sum_of_squares_check
 
-from oracles import set_partitions
+from oracles import pair_sweep_corner_iso_check, set_partitions
 
 
 def bell(n):
@@ -238,6 +239,39 @@ def test_corner_iso_check_compares_delta_exponents(monkeypatch):
 
     monkeypatch.setattr(dg, "compose", shifted)
     assert not corner_iso_check(dg.W_b(l, n), l, l)
+
+
+@pytest.mark.parametrize(
+    "e,l,small_l",
+    [
+        (dg.W_b(1, 4), 1, 1),
+        (dg.W_b(2, 5), 2, 2),
+        (dg.W_b(2, 6), 2, 2),
+        (dg.W_b(3, 6), 3, 3),
+        (dg.e_pi(4), 2, 1),
+        (dg.e_pi(6), 2, 1),
+        (dg.W_b(2, 5), 2, 3),
+        (dg.e_pi(4), 2, 2),
+        (dg.W(1, 3), 1, 1),
+    ],
+)
+def test_corner_iso_check_matches_pair_sweep(e, l, small_l):
+    assert corner_iso_check(e, l, small_l) == pair_sweep_corner_iso_check(e, l, small_l)
+
+
+@pytest.mark.parametrize(
+    "e,l,small_l", [(dg.W_b(1, 4), 1, 1), (dg.W_b(2, 5), 2, 2), (dg.e_pi(4), 2, 1)]
+)
+def test_corner_iso_check_needs_every_generator(monkeypatch, e, l, small_l):
+    # without the last generator, W, nothing lowers the propagating number:
+    # the products left to check all hold, but some corner element is never
+    # reached, so only the reachability walk can reject
+    assert corner_iso_check(e, l, small_l)
+    check = algebra.generated_hom_check
+    monkeypatch.setattr(
+        algebra, "generated_hom_check", lambda gens, images, mul: check(gens[:-1], images, mul)
+    )
+    assert not corner_iso_check(e, l, small_l)
 
 
 def test_corner_images_refuse_bad_idempotents():

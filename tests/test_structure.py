@@ -195,6 +195,19 @@ def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
             assert plain_corner_group_check(mvec, l, n) == (False, want), s
 
 
+@pytest.mark.parametrize("mvec,l,n", [((2, 0), 2, 4), ((3, 1), 2, 5), ((2, 0, 1), 3, 5)])
+def test_corner_group_check_needs_every_generator(monkeypatch, mvec, l, n):
+    # the last adjacent transposition dropped: the survivors it would reach
+    # are never reached, though every product left to check holds
+    want = st.corner_group_check(mvec, l, n)[1]
+    assert st.corner_group_check(mvec, l, n) == (True, want)
+    check = st.generated_hom_check
+    monkeypatch.setattr(
+        st, "generated_hom_check", lambda gens, images, mul: check(gens[:-1], images, mul)
+    )
+    assert st.corner_group_check(mvec, l, n) == (False, want)
+
+
 def test_matching_of_reads_b_m_as_identity():
     for mvec, l, n in [((1, 1), 2, 5), ((3, 1), 2, 5), ((2, 0, 1), 3, 5), ((1, 0, 1), 3, 7)]:
         bm = dg.b_m(mvec, l, n)

@@ -63,6 +63,17 @@ def test_generator_relations(k):
                 )
 
 
+@pytest.mark.parametrize("k", range(0, 7))
+def test_polytabloids_unitriangular_on_standard_tabloids(k):
+    # row {t_i}, column e_{t_j}, standard tableaux in basis order: 1 on the
+    # diagonal and 0 above it, which the integer solve for gens relies on
+    for lam in sym.partitions_of(k):
+        rep = sym.specht_rep(lam)
+        for i, t in enumerate(rep.basis):
+            row = rep._E[rep._tab_index[t]]
+            assert row[i] == 1 and not any(row[i + 1:]), (lam, t)
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_form_contravariance(k):
     for lam in sym.partitions_of(k):
