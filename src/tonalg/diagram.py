@@ -27,7 +27,9 @@ class DiagramError(ValueError):
 class Diagram:
     """A canonical set partition of n top + m bottom vertices."""
 
-    __slots__ = ("n", "m", "blocks", "_hash")
+    # _labels: the block index of every coded vertex, filled by the first
+    # compose that reads this diagram
+    __slots__ = ("n", "m", "blocks", "_hash", "_labels")
 
     def __init__(self, n, m, blocks):
         # blocks must already be canonical coded tuples; use make_diagram
@@ -36,6 +38,7 @@ class Diagram:
         self.m = m
         self.blocks = blocks
         self._hash = hash((n, m, blocks))
+        self._labels = None
 
     def __eq__(self, other):
         return (
@@ -147,41 +150,49 @@ def compose(p, q):
     Identifies p's bottom row with q's top row, closes under connectivity,
     and returns ScaledDiagram(e, r) where e counts the components that
     contain middle vertices only.
+
+    Union-find over the blocks of p (0..na-1) and of q (na..): each union
+    hangs the larger root under the smaller, so every parent index is at
+    most its own, and one pass in index order then flattens every block
+    onto its root.
     """
     if p.m != q.n:
         raise DiagramError(
             "arity mismatch: cannot compose (%d,%d) with (%d,%d)" % (p.n, p.m, q.n, q.m)
         )
     n, mid, k = p.n, p.m, q.m
-    la, lb = labels(p), labels(q)
-    na, nb = len(p.blocks), len(q.blocks)
-    parent = list(range(na + nb))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    la = p._labels or _fill_labels(p)
+    lb = q._labels or _fill_labels(q)
+    na = len(p.blocks)
+    parent = list(range(na + len(q.blocks)))
     for i in range(mid):
-        ra, rb = find(la[n + i]), find(na + lb[i])
-        if ra != rb:
-            parent[rb] = ra
+        x, y = la[n + i], na + lb[i]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
 
     groups = {}
     for v in range(n):
-        groups.setdefault(find(la[v]), []).append(v)
+        groups.setdefault(parent[la[v]], []).append(v)
     for v in range(k):
-        groups.setdefault(find(na + lb[mid + v]), []).append(n + v)
+        groups.setdefault(parent[na + lb[mid + v]], []).append(n + v)
     # components not seen from a final vertex are middle-only
-    middle_roots = set()
-    for i in range(mid):
-        r = find(la[n + i])
-        if r not in groups:
-            middle_roots.add(r)
+    loops = {parent[la[n + i]] for i in range(mid)}.difference(groups)
     # vertices were visited in increasing order, so each group is sorted and
     # the groups run by least vertex: the blocks are already canonical
-    return ScaledDiagram(len(middle_roots), Diagram(n, k, tuple(map(tuple, groups.values()))))
+    return ScaledDiagram(len(loops), Diagram(n, k, tuple(map(tuple, groups.values()))))
+
+
+def _fill_labels(d):
+    d._labels = lab = labels(d)
+    return lab
 
 
 def tensor(p, q):
@@ -196,11 +207,15 @@ def tensor(p, q):
 
 
 def flip(p):
-    """The top/bottom flip, an anti-automorphism of the category."""
-    blocks = []
-    for b in p.blocks:
-        blocks.append(tuple(v + p.m if v < p.n else v - p.n for v in b))
-    return Diagram(p.m, p.n, _canonical(blocks))
+    """The top/bottom flip, an anti-automorphism of the category.
+
+    Each flipped block is sorted as it is made, so one sort of the block
+    list makes the result canonical.
+    """
+    n, m = p.n, p.m
+    blocks = [tuple(sorted([v + m if v < n else v - n for v in b])) for b in p.blocks]
+    blocks.sort()
+    return Diagram(m, n, tuple(blocks))
 
 
 def lateral_flip(p):

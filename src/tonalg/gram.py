@@ -18,10 +18,9 @@ from . import diagram as dg
 from . import gamma
 from .algebra import Element
 from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul
-from .symmetric import perm_inverse
 from .standard_modules import (
     standard_module,
-    decompose_left_term,
+    gram_table,
     generator_diagrams,
     all_labels,
 )
@@ -40,29 +39,20 @@ class GramMatrix:
         self.n = n
         self.module = mod = standard_module(self.mu, l, n)
         self.dim = mod.dim
-        ts = mod.t_diagrams
-        self.rows = rows = [{} for _ in ts]
+        self.rows = rows = [{} for _ in mod.profiles]
         forms = {}
-        # the matrix is symmetric: build the blocks with i <= j and store
-        # block (j, i) as the transpose of block (i, j)
-        for i, ti in enumerate(ts):
-            fi = dg.flip(ti)
-            for j in range(i, len(ts)):
-                k, g = dg.compose(fi, ts[j])
-                res = decompose_left_term(g, mod.mvec, l, n)
-                if res is None:
-                    continue
-                sigma = res[1]
-                if sigma not in forms:
-                    # the sandwich acts on the tableau factor exactly as in
-                    # the module action: through the inverse of its matching
-                    B = mod.rep.matrix(tuple(perm_inverse(p) for p in sigma))
-                    X = int_mat_mul(mod.rep.form, B)
-                    forms[sigma] = X, list(zip(*X))
-                X, Xt = forms[sigma]
-                rows[i][j] = (k, X)
-                if j > i:
-                    rows[j][i] = (k, Xt)
+        # the matrix is symmetric: gram_table holds the blocks with i <= j,
+        # and block (j, i) is stored as the transpose of block (i, j)
+        for i, j, k, s in gram_table(mod.mvec, l, n):
+            if s not in forms:
+                # the sandwich acts on the tableau factor exactly as in the
+                # module action: through the inverse of its matching
+                X = int_mat_mul(mod.rep.form, mod.rep.matrix(s))
+                forms[s] = X, list(zip(*X))
+            X, Xt = forms[s]
+            rows[i][j] = (k, X)
+            if j > i:
+                rows[j][i] = (k, Xt)
 
     def blocks(self):
         """The stored blocks as (i, j, k, X)."""
@@ -199,15 +189,24 @@ def contravariance_check(mu, l, n, trials=8, seed=0):
     equal matrices; the converse holds as no product block is zero, each
     being an invertible matrix times a stored Gram block.
     """
-    rng = random.Random(seed)
     g = gram_matrix(mu, l, n)
     mod = g.module
-    for _ in range(trials):
-        for d in _random_element(l, n, rng).terms:
-            lhs = transpose_times_gram(mod.action_map(d), g)
-            if lhs != gram_times(g, mod.action_map(dg.flip(d))):
-                return False
+    for d, fd in _random_supports(l, n, trials, seed):
+        if transpose_times_gram(mod.action_map(d), g) != gram_times(g, mod.action_map(fd)):
+            return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _random_supports(l, n, trials, seed):
+    """(d, flip(d)) for the distinct diagrams d in the supports of the
+    `trials` random elements drawn from random.Random(seed): the same for
+    every label at (l, n), so drawn once."""
+    rng = random.Random(seed)
+    support = {}
+    for _ in range(trials):
+        support.update(dict.fromkeys(_random_element(l, n, rng).terms))
+    return tuple((d, dg.flip(d)) for d in support)
 
 
 def gram_report(mu, l, n, point=None, want_det=False):

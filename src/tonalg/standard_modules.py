@@ -21,6 +21,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from . import diagram as dg
 from . import gamma
@@ -175,8 +176,10 @@ def profile_diagram(profile, mvec, l, n):
     return polar_recompose(profile, tuple(tuple(range(x)) for x in mvec), layout(mvec, l, n), l, n)
 
 
+@lru_cache(maxsize=None)
 def transversal_diagrams(mvec, l, n):
-    return [profile_diagram(p, mvec, l, n) for p in transversal(mvec, l, n)]
+    """The diagrams of the transversal profiles, in their order."""
+    return tuple(profile_diagram(p, mvec, l, n) for p in transversal(mvec, l, n))
 
 
 def w_sigma(sigma, mvec, l, n):
@@ -247,6 +250,45 @@ def standard_dim(mu, l, n):
     return d
 
 
+def _tableau_perm(sigma):
+    """The permutation through which a matching sigma acts on the tableau
+    factor: its inverse, class by class."""
+    return tuple(perm_inverse(p) for p in sigma)
+
+
+@lru_cache(maxsize=None)
+def action_table(d, mvec, l, n):
+    """The action of diagram d on the transversal of mvec, shared by every
+    label of that vector: a tuple over profiles j, each None (d * t_j drops
+    below mvec) or (i, k, s) with d * t_j = delta^k t_i w_sigma, s being
+    sigma's tableau permutation."""
+    index = {p: i for i, p in enumerate(transversal(mvec, l, n))}
+    out = []
+    for t in transversal_diagrams(mvec, l, n):
+        k, q = dg.compose(d, t)
+        res = decompose_left_term(q, mvec, l, n)
+        out.append(res and (index[res[0]], k, _tableau_perm(res[1])))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def gram_table(mvec, l, n):
+    """The sandwiches flip(t_i) * t_j, i <= j, that stay at mvec, shared by
+    every label of that vector: a tuple of (i, j, k, s) with flip(t_i) * t_j
+    = delta^k w_sigma on the canonical layout, s being sigma's tableau
+    permutation."""
+    ts = transversal_diagrams(mvec, l, n)
+    out = []
+    for i, ti in enumerate(ts):
+        fi = dg.flip(ti)
+        for j in range(i, len(ts)):
+            k, g = dg.compose(fi, ts[j])
+            res = decompose_left_term(g, mvec, l, n)
+            if res is not None:
+                out.append((i, j, k, _tableau_perm(res[1])))
+    return tuple(out)
+
+
 class StandardModule:
     """Standard module for a multipartition, with exact Z[delta] action.
 
@@ -255,7 +297,8 @@ class StandardModule:
     composed with the transversal diagram of profile j reduces into the left
     ideal either below the module's vector (so d kills block j) or to one
     profile i with a matching sigma and a power delta^k: d sends block j to
-    block i as delta^k times the symmetric-group matrix of sigma^-1.
+    block i as delta^k times the symmetric-group matrix of sigma^-1.  The
+    products are action_table's, shared by the labels of one vector.
     """
 
     def __init__(self, mu, l, n):
@@ -267,8 +310,6 @@ class StandardModule:
         self.mvec = tuple(sum(lam) for lam in self.mu)
         _require_vector(self.mvec, l, n)
         self.profiles = transversal(self.mvec, l, n)
-        self.profile_index = {p: i for i, p in enumerate(self.profiles)}
-        self.t_diagrams = [profile_diagram(p, self.mvec, l, n) for p in self.profiles]
         self.rep = outer_rep(self.mu)
         self.dim = len(self.profiles) * self.rep.dim
 
@@ -277,23 +318,15 @@ class StandardModule:
             (p, w) for p in self.profiles for w in self.rep.basis
         ]
 
-    @lru_cache(maxsize=None)
     def action_map(self, d):
         """The action of diagram d as a tuple over column blocks j, each
         None (d sends block j to zero) or (i, k, B): d sends block j to
-        block i as delta^k times the invertible integer matrix B.  Built
-        once per d; the B are shared and must not be changed."""
-        out = []
-        for tdiag in self.t_diagrams:
-            k, q = dg.compose(d, tdiag)
-            res = decompose_left_term(q, self.mvec, self.l, self.n)
-            if res is None:
-                out.append(None)
-                continue
-            prof, sigma = res
-            B = self.rep.matrix(tuple(perm_inverse(p) for p in sigma))
-            out.append((self.profile_index[prof], k, B))
-        return tuple(out)
+        block i as delta^k times the invertible integer matrix B.  The B
+        are shared and must not be changed."""
+        matrix = self.rep.matrix
+        return tuple(
+            e and (e[0], e[1], matrix(e[2])) for e in action_table(d, self.mvec, self.l, self.n)
+        )
 
     def dense_action(self, d):
         """The dim x dim DeltaPoly matrix of d's action, for output."""
@@ -324,9 +357,11 @@ def all_labels(l, n):
     return out
 
 
+@lru_cache(maxsize=None)
 def vector_counts(l, n):
-    """Number of basis diagrams with each exact propagating vector."""
-    return Counter(dg.prop_vector(d, l) for d in enumerate_basis(l, n, n))
+    """Number of basis diagrams with each exact propagating vector, as a
+    read-only mapping built once per (l, n)."""
+    return MappingProxyType(Counter(dg.prop_vector(d, l) for d in enumerate_basis(l, n, n)))
 
 
 def sum_of_squares_check(l, n):
@@ -355,12 +390,13 @@ def globalise_module_check(mu, l, n):
         raise dg.DiagramError("need n > l")
     small = standard_module(tuple(tuple(x) for x in mu), l, n - l)
     big = standard_module(tuple(tuple(x) for x in mu), l, n)
+    index = {p: i for i, p in enumerate(big.profiles)}
     emb = []
     for p in small.profiles:
         q = embedded_profile(p, l, n - l)
-        if q not in big.profile_index:
+        if q not in index:
             return False
-        emb.append(big.profile_index[q])
+        emb.append(index[q])
     wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
     Mw = big.action_map(wbar)
     one = identity_matrix(big.rep.dim)

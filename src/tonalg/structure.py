@@ -89,6 +89,11 @@ def corner_group_check(mvec, l, n):
 
     The survivors are the b_m*c*b_m of vector m, c over
     sandwich_middles(b_m, b_m, l): the same set as over the whole basis.
+    Only the middles with m <= prop_vector(c) are composed: by the
+    bottleneck order, prop(x*y) <= prop(x), and the flip, an
+    anti-automorphism that keeps every block's class, keeps vectors, so
+    prop(b_m*c*b_m) <= prop(b_m*c) = prop(flip(c)*flip(b_m)) <= prop(flip(c))
+    = prop(c), and a middle with m not below prop(c) leaves no survivor.
     Checked: there are as many survivors as elements of G = prod S_{m_i},
     and `match` maps them injectively into G, so onto it; and
     generated_hom_check with delta exponent 0 on G, the generators being
@@ -100,8 +105,12 @@ def corner_group_check(mvec, l, n):
     if not any(mvec):
         return True, 1
     bm = dg.b_m(mvec, l, n)
+    # every l-tone (n, n) diagram has its vector in gamma_set(l, n)
+    above = {v for v in gamma.gamma_set(l, n) if gamma.poset_leq(mvec, v, l)}
     survivors = set()
     for c in sandwich_middles(bm, bm, l):
+        if dg.prop_vector(c, l) not in above:
+            continue
         _, q1 = dg.compose(bm, c)
         _, q2 = dg.compose(q1, bm)
         if dg.prop_vector(q2, l) == mvec:

@@ -1,4 +1,5 @@
-"""Plain routes kept as oracles for the tests: a generic set-partition
+"""Plain routes kept as oracles for the tests: composition by a search
+over vertices and the flip by vertex names, a generic set-partition
 generator, the transversal as a filter over every set partition, the
 three-sort polar decomposition, dense Z[delta] matrices: their product
 and equality, each diagram's action matrix and each Gram matrix built entry
@@ -11,7 +12,7 @@ from tonalg import diagram as dg
 from tonalg.algebra import corner_images, enumerate_basis
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import int_mat_mul
-from tonalg.standard_modules import decompose_left_term, standard_module
+from tonalg.standard_modules import decompose_left_term, profile_diagram, standard_module
 from tonalg.symmetric import perm_inverse
 
 
@@ -106,6 +107,54 @@ def plain_polar_decompose(p, l):
     return tuple(sorted(top_prof)), tuple(sigma), tuple(sorted(bot_prof)), mvec
 
 
+def plain_compose(p, q):
+    """p * q by a breadth-first search over the vertices of the stacked
+    picture: p's tops, the shared middle row, then q's bottoms, each
+    block of p and of q joining its vertices in a path.  Returns (number
+    of middle-only components, diagram)."""
+    if p.m != q.n:
+        raise dg.DiagramError("arity mismatch")
+    n, mid, k = p.n, p.m, q.m
+    # stacked vertex ids: tops 0..n-1, middles n..n+mid-1, bottoms after
+    adj = [[] for _ in range(n + mid + k)]
+    for blocks, shift in ((p.blocks, 0), (q.blocks, n)):
+        for b in blocks:
+            for u, v in zip(b, b[1:]):
+                adj[u + shift].append(v + shift)
+                adj[v + shift].append(u + shift)
+    seen = [False] * len(adj)
+    blocks, loops = [], 0
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, todo = [], [s]
+        while todo:
+            u = todo.pop(0)
+            comp.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    todo.append(v)
+        outer = [v if v < n else v - mid for v in comp if v < n or v >= n + mid]
+        if outer:
+            blocks.append(outer)
+        else:
+            loops += 1
+    return loops, dg.make_diagram(n, k, blocks)
+
+
+def plain_flip(p):
+    """The flip read vertex by vertex: top i becomes bottom i and bottom j
+    top j."""
+    names = {"T": "B", "B": "T"}
+    blocks = []
+    for b in dg.serialize(p).partition("|")[2].split(";"):
+        if b:
+            blocks.append([names[v[0]] + v[1:] for v in b.split(",")])
+    return dg.make_diagram(p.m, p.n, blocks)
+
+
 def poly_mat(M):
     """Coerce an int/DeltaPoly matrix to an all-DeltaPoly matrix."""
     return [[x if isinstance(x, DeltaPoly) else DeltaPoly.const(x) for x in row] for row in M]
@@ -133,6 +182,10 @@ def poly_mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def _profile_diagrams(mod):
+    return [profile_diagram(p, mod.mvec, mod.l, mod.n) for p in mod.profiles]
+
+
 def dense_action(mod, d):
     """The dim x dim DeltaPoly matrix of a diagram acting on a standard
     module, written entry by entry: each transversal diagram composed with
@@ -140,13 +193,14 @@ def dense_action(mod, d):
     tableau factor."""
     r = mod.rep.dim
     M = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
-    for tj, tdiag in enumerate(mod.t_diagrams):
+    index = {p: i for i, p in enumerate(mod.profiles)}
+    for tj, tdiag in enumerate(_profile_diagrams(mod)):
         k, q = dg.compose(d, tdiag)
         res = decompose_left_term(q, mod.mvec, mod.l, mod.n)
         if res is None:
             continue
         prof, sigma = res
-        ti = mod.profile_index[prof]
+        ti = index[prof]
         blk = mod.rep.matrix(tuple(perm_inverse(p) for p in sigma))
         for a in range(r):
             for b in range(r):
@@ -162,9 +216,10 @@ def ordered_pair_gram(mu, l, n):
     r = mod.rep.dim
     entries = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
     exps = {}
-    for i, ti in enumerate(mod.t_diagrams):
+    ts = _profile_diagrams(mod)
+    for i, ti in enumerate(ts):
         fi = dg.flip(ti)
-        for j, tj in enumerate(mod.t_diagrams):
+        for j, tj in enumerate(ts):
             k, g = dg.compose(fi, tj)
             res = decompose_left_term(g, mod.mvec, l, n)
             if res is None:

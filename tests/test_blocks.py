@@ -86,6 +86,41 @@ def test_dense_output_matches_oracle_matrices(capsys, l, n):
         assert json.loads(capsys.readouterr().out)["entries"] == as_json(ordered_pair_gram(mu, l, n)[0]), mu
 
 
+SHARED_VECTORS = [((5, 0, 0), 3, 5), ((2, 0, 1), 3, 5), ((2, 1), 2, 4), ((3,), 1, 3)]
+
+
+@pytest.mark.parametrize("mvec,l,n", SHARED_VECTORS)
+def test_labels_of_one_vector_share_products(monkeypatch, mvec, l, n):
+    # every label of the vector reads the same per-vector tables, and each
+    # label's maps and Gram blocks still match its own dense oracle
+    labels = sm.multipartitions_of(mvec)
+    assert len(labels) > 1
+    diagrams = _diagrams(l, n, seed=l * 100 + n)
+    calls = []
+    compose = dg.compose
+
+    def counted(p, q):
+        calls.append(p)
+        return compose(p, q)
+
+    sm.action_table.cache_clear()
+    sm.gram_table.cache_clear()
+    gr.gram_matrix.cache_clear()
+    monkeypatch.setattr(dg, "compose", counted)
+    for mu in labels:
+        mod = sm.standard_module(mu, l, n)
+        for d in diagrams:
+            assert dense_map(mod, mod.action_map(d)) == dense_action(mod, d), (mu, d)
+        G, exps = ordered_pair_gram(mu, l, n)
+        g = gr.gram_matrix(mu, l, n)
+        assert g.dense() == G, mu
+        assert {(i, j): k for i, j, k, _ in g.blocks()} == exps, mu
+    size = len(sm.transversal(mvec, l, n))
+    # the oracles compose len(diagrams) * size and size * size per label
+    oracle = len(labels) * (len(diagrams) * size + size * size)
+    assert len(calls) - oracle == len(diagrams) * size + size * (size + 1) // 2
+
+
 def test_raised_exponent_breaks_generator_relations(monkeypatch):
     # negative control: s1 sends its first block with one delta too many
     real = sm.StandardModule.action_map

@@ -5,6 +5,8 @@ import pytest
 from tonalg import diagram as dg
 from tonalg.algebra import basis_texts, enumerate_basis
 
+from oracles import plain_compose, plain_flip
+
 
 def test_make_diagram_identity():
     d = dg.make_diagram(1, 1, [["T1", "B1"]])
@@ -323,3 +325,44 @@ def test_canonical_equality_is_structural():
     a = dg.make_diagram(2, 2, [["B2", "B1"], ["T2", "T1"]])
     b = dg.make_diagram(2, 2, [["T1", "T2"], ["B1", "B2"]])
     assert a == b and hash(a) == hash(b)
+
+
+def _random_diagram(rng, n, m):
+    # a random restricted-growth string over the n + m coded vertices
+    lab, top = [], 0
+    for _ in range(n + m):
+        c = rng.randint(0, top)
+        lab.append(c)
+        top += c == top
+    blocks = {}
+    for v, c in enumerate(lab):
+        blocks.setdefault(c, []).append(v)
+    return dg.make_diagram(n, m, list(blocks.values()))
+
+
+def test_compose_and_flip_match_plain_oracle():
+    rng = random.Random(11)
+    shapes = [(0, 0, 0), (3, 0, 0), (0, 0, 3), (2, 0, 2), (0, 3, 0), (3, 3, 0), (0, 2, 4)]
+    shapes += [(n, mid, k) for n in range(1, 5) for mid in range(1, 5) for k in range(1, 5)]
+    for n, mid, k in shapes:
+        for _ in range(20):
+            p, q = _random_diagram(rng, n, mid), _random_diagram(rng, mid, k)
+            got = dg.compose(p, q)
+            assert tuple(got) == plain_compose(p, q), (p, q)
+            assert got.diagram.blocks == dg._canonical(got.diagram.blocks), (p, q)
+            for d in (p, q, got.diagram):
+                f = dg.flip(d)
+                assert f == plain_flip(d) and f.blocks == dg._canonical(f.blocks), d
+                assert dg.flip(f) == d, d
+
+
+def test_compose_reads_a_filled_label_cache_on_either_side():
+    rng = random.Random(12)
+    for n in range(0, 5):
+        for _ in range(20):
+            d, left, right = (_random_diagram(rng, n, n) for _ in range(3))
+            # d's labels are filled as the right factor, then read as the left
+            assert tuple(dg.compose(left, d)) == plain_compose(left, d)
+            assert d._labels == dg.labels(d)
+            assert tuple(dg.compose(d, right)) == plain_compose(d, right)
+            assert tuple(dg.compose(d, d)) == plain_compose(d, d)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
+import random
 
 import pytest
 
@@ -298,6 +299,28 @@ def test_contravariance_generators_and_random():
     for l, n, mu in [(2, 3, ((1,), ())), (2, 3, ((1,), (1,))), (2, 4, ((2,), ())),
                      (3, 3, ((1,), (1,), ()))]:
         assert gr.contravariance_check(mu, l, n, trials=6, seed=5)
+
+
+def test_contravariance_draws_its_elements_once_per_seed(monkeypatch):
+    # the labels at (l, n) share one draw; the supports are those of a
+    # fresh draw from the same seed
+    l, n, trials, seed = 2, 4, 3, 7
+    drawn = []
+    real = gr._random_element
+
+    def counted(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gr, "_random_element", counted)
+    gr._random_supports.cache_clear()
+    assert all(gr.contravariance_check(mu, l, n, trials, seed) for mu in all_labels(l, n))
+    assert len(drawn) == trials
+    rng = random.Random(seed)
+    want = {}
+    for _ in range(trials):
+        want.update(dict.fromkeys(real(l, n, rng).terms))
+    assert gr._random_supports(l, n, trials, seed) == tuple((d, dg.flip(d)) for d in want)
 
 
 def test_contravariance_with_noninvolutive_matchings():

@@ -221,6 +221,14 @@ def test_ideal_section_dims():
         assert sm.ideal_section_dims_check(l, n)
 
 
+def test_vector_counts_are_built_once_and_read_only():
+    counts = sm.vector_counts(2, 4)
+    assert sm.vector_counts(2, 4) is counts
+    assert sum(counts.values()) == len(enumerate_basis(2, 4, 4))
+    with pytest.raises(TypeError):
+        counts[(4, 0)] = 0
+
+
 @pytest.mark.parametrize("l, n", [(2, 4), (3, 4)])
 def test_ideal_section_dims_sees_a_missing_vector(monkeypatch, l, n):
     # negative control: the basis has diagrams of a vector that gamma_set

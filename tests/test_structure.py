@@ -143,7 +143,7 @@ def plain_corner_group_check(mvec, l, n):
     return True, want
 
 
-@pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("l,n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
 def test_corner_group_check_matches_plain_loop(l, n):
     for m in gamma.gamma_set(l, n):
         assert st.corner_group_check(m, l, n) == plain_corner_group_check(m, l, n), m
@@ -193,6 +193,34 @@ def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
         assert st.corner_group_check(mvec, l, n) == (False, want), s
         if n <= 5:
             assert plain_corner_group_check(mvec, l, n) == (False, want), s
+
+
+@pytest.mark.parametrize("mvec,l,n", [((1, 0), 2, 5), ((3, 1), 2, 5), ((2, 0, 1), 3, 5), ((3,), 1, 3)])
+def test_prefilter_dropping_a_survivor_fails(monkeypatch, mvec, l, n):
+    # negative control: prop_vector under-reports the middle that yields
+    # one survivor; its first call on that diagram is the prefilter's, so
+    # the middle is skipped there and never composed
+    bm = dg.b_m(mvec, l, n)
+    survivors = set()
+    for c in sandwich_middles(bm, bm, l):
+        q = dg.compose(dg.compose(bm, c)[1], bm)[1]
+        if dg.prop_vector(q, l) == mvec:
+            survivors.add(q)
+    want = len(survivors)
+    assert st.corner_group_check(mvec, l, n) == (True, want)
+    victim = max(survivors)
+    real = dg.prop_vector
+    lied = []
+
+    def under_reported(d, l):
+        if d == victim and not lied:
+            lied.append(d)
+            return (0,) * l
+        return real(d, l)
+
+    monkeypatch.setattr(st.dg, "prop_vector", under_reported)
+    assert st.corner_group_check(mvec, l, n) == (False, want)
+    assert lied == [victim]
 
 
 @pytest.mark.parametrize("mvec,l,n", [((2, 0), 2, 4), ((3, 1), 2, 5), ((2, 0, 1), 3, 5)])
