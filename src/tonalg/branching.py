@@ -9,7 +9,8 @@ classes and whose quotient part collects the first-vertex-non-propagating
 class; labels whose vector leaves the index set contribute nothing.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import lru_cache
 
 from . import diagram as dg
 from .standard_modules import (
@@ -90,59 +91,68 @@ def first_vertex_class(profile, l):
     raise AssertionError("vertex 1 missing from profile")
 
 
+Restriction = namedtuple("Restriction", ["module", "classes", "labels", "maps"])
+
+
+@lru_cache(maxsize=None)
+def restriction(lam, l, nplus1):
+    """Everything the branching checks read of one label, built once per
+    process: the module, the first-vertex class of each transversal
+    profile, the labels of each class (_class_labels), and the action map
+    of each included generator.  lam must be a tuple of tuples."""
+    mod = standard_module(lam, l, nplus1)
+    return Restriction(
+        mod,
+        tuple(first_vertex_class(p, l) for p in mod.profiles),
+        _class_labels(lam, l, nplus1),
+        tuple(mod.action_map(include(d)) for d in generator_diagrams(l, nplus1 - 1).values()),
+    )
+
+
 def classify_basis(lam, l, nplus1):
     """Cardinalities of the first-vertex classes of the module basis.
 
     Returns (counts, profile_classes) where counts maps each class to the
     number of basis elements in it (profiles times the tableau factor).
     """
-    lam = tuple(tuple(x) for x in lam)
-    mod = standard_module(lam, l, nplus1)
-    classes = [first_vertex_class(p, l) for p in mod.profiles]
-    counts = Counter()
-    for c in classes:
-        counts[c] += mod.rep.dim
+    table = restriction(tuple(tuple(x) for x in lam), l, nplus1)
+    counts = Counter(table.classes)
     keys = [1] + list(range(2, l + 1)) + ["lp", 0]
-    return {k: counts.get(k, 0) for k in keys}, classes
+    return {k: counts[k] * table.module.rep.dim for k in keys}, list(table.classes)
 
 
 def classified_dim_checks(lam, l, nplus1):
-    """Each first-vertex class carries exactly the dimensions of its labels."""
+    """Each first-vertex class carries exactly the dimensions of its labels,
+    and the classes together carry standard_dim of the label.
+
+    This is the one dimension check of the restriction.  The classes count
+    profiles times the module's tableau count, and standard_dim takes the
+    hook product, so the sum holds only when the two agree.  Summed over all
+    classes, the per-class equalities give dim M = the sum of the dims of
+    all filtration labels, as restrict_rule reads the same _class_labels;
+    summed over the nonzero classes and taken at class 0, they give the
+    dimensions of the submodule part and of the quotient part.  That the
+    submodule part is closed under the included subalgebra is
+    submodule_closure_check's A_closed.
+    """
     lam = tuple(tuple(x) for x in lam)
     counts, _ = classify_basis(lam, l, nplus1)
     checks = {
         c: sum(standard_dim(mu, l, nplus1 - 1) for mu in labels)
-        for c, labels in _class_labels(lam, l, nplus1).items()
+        for c, labels in restriction(lam, l, nplus1).labels.items()
     }
-    return all(counts[k] == checks[k] for k in counts), counts, checks
+    ok = all(counts[k] == checks[k] for k in counts)
+    return ok and sum(counts.values()) == standard_dim(lam, l, nplus1), counts, checks
 
 
-def branching_dim_check(lam, l, nplus1):
-    """dim of the big module equals the sum of the filtration label dims."""
-    lam = tuple(tuple(x) for x in lam)
-    rule = restrict_rule(lam, l, nplus1)
-    n = nplus1 - 1
-    return standard_dim(lam, l, nplus1) == sum(
-        standard_dim(mu, l, n) for mu in rule.all_labels()
-    )
-
-
-def _included_generators(l, nplus1):
-    """Generators of the included (n-strand) subalgebra inside n+1 strands."""
-    return {
-        name: include(d) for name, d in generator_diagrams(l, nplus1 - 1).items()
-    }
-
-
-def _span_closed(mod, class_list, member, gens):
+def _span_closed(classes, maps, member):
     """Does the span of the profiles with member(class)=True absorb the
-    included generators?  A generator sends a profile block into at most
-    one block, by an invertible matrix, so the span is closed exactly when
-    no inside block is sent to an outside one; a map that does not cover
-    every block establishes nothing."""
-    inside = [member(c) for c in class_list]
-    for gd in gens.values():
-        amap = mod.action_map(gd)
+    included generators, given by their action maps?  A generator sends a
+    profile block into at most one block, by an invertible matrix, so the
+    span is closed exactly when no inside block is sent to an outside one;
+    a map that does not cover every block establishes nothing."""
+    inside = [member(c) for c in classes]
+    for amap in maps:
         if len(amap) != len(inside):
             return False
         for flag, e in zip(inside, amap):
@@ -155,46 +165,25 @@ def submodule_closure_check(lam, l, nplus1):
     """Span-closure pattern of the first-vertex classes under the included
     subalgebra: the propagating classes close (individually for 1 and each
     i <= l, jointly for everything away from the non-propagating class)."""
-    lam = tuple(tuple(x) for x in lam)
-    mod = standard_module(lam, l, nplus1)
-    _, classes = classify_basis(lam, l, nplus1)
-    gens = _included_generators(l, nplus1)
-    report = {
-        "B1_closed": _span_closed(mod, classes, lambda c: c == 1, gens),
-        "B12_closed": _span_closed(mod, classes, lambda c: c in (1, 2), gens),
-        "A_closed": _span_closed(mod, classes, lambda c: c != 0, gens),
+    table = restriction(tuple(tuple(x) for x in lam), l, nplus1)
+    classes, maps = table.classes, table.maps
+    return {
+        "B1_closed": _span_closed(classes, maps, lambda c: c == 1),
+        "B12_closed": _span_closed(classes, maps, lambda c: c in (1, 2)),
+        "A_closed": _span_closed(classes, maps, lambda c: c != 0),
     }
-    return report
 
 
 def leak_check(lam, l, nplus1):
     """Does some included generator map the enlarged-class part into the
     propagating-singleton part with a nonzero coefficient?"""
-    lam = tuple(tuple(x) for x in lam)
-    mod = standard_module(lam, l, nplus1)
-    _, classes = classify_basis(lam, l, nplus1)
-    for gd in _included_generators(l, nplus1).values():
-        for cj, e in zip(classes, mod.action_map(gd)):
-            if cj == "lp" and e and classes[e[0]] == 1:
-                return True
-    return False
-
-
-def quotient_exactness_check(lam, l, nplus1):
-    """The propagating part is a submodule and the non-propagating part spans
-    the quotient with the announced label dimensions."""
-    lam = tuple(tuple(x) for x in lam)
-    rule = restrict_rule(lam, l, nplus1)
-    mod = standard_module(lam, l, nplus1)
-    counts, classes = classify_basis(lam, l, nplus1)
-    gens = _included_generators(l, nplus1)
-    if not _span_closed(mod, classes, lambda c: c != 0, gens):
-        return False
-    n = nplus1 - 1
-    sub_dim = sum(standard_dim(mu, l, n) for mu in rule.sub)
-    quo_dim = sum(standard_dim(mu, l, n) for mu in rule.quo)
-    a_count = sum(v for k, v in counts.items() if k != 0)
-    return a_count == sub_dim and counts[0] == quo_dim
+    table = restriction(tuple(tuple(x) for x in lam), l, nplus1)
+    classes = table.classes
+    return any(
+        c == "lp" and e and classes[e[0]] == 1
+        for amap in table.maps
+        for c, e in zip(classes, amap)
+    )
 
 
 class BratteliGraph:

@@ -269,6 +269,10 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an output path that cannot be written
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

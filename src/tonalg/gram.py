@@ -76,6 +76,10 @@ class GramMatrix:
                     out[j * r + b] = v * xk
         return M
 
+    def rank_at(self, x):
+        """The exact rank of the matrix at delta = x."""
+        return fraction_rank(self.evaluate(x))
+
 
 @lru_cache(maxsize=None)
 def gram_matrix(mu, l, n):
@@ -85,7 +89,7 @@ def gram_matrix(mu, l, n):
 
 def rank_at(mu, l, n, point):
     """Rank of the Gram matrix at an exact evaluation point (Fraction/int)."""
-    return fraction_rank(gram_matrix(mu, l, n).evaluate(point))
+    return gram_matrix(mu, l, n).rank_at(point)
 
 
 # An exact evaluation point away from the small integers, where the Gram
@@ -99,7 +103,7 @@ def point_and_generic_rank(g):
     """(rank at GENERIC_POINT, rank over Z[delta]) of a Gram matrix.  A full
     rank at the point is the generic rank; only a deficient one, which is
     just a lower bound, runs the elimination over Z[delta]."""
-    r = fraction_rank(g.evaluate(GENERIC_POINT))
+    r = g.rank_at(GENERIC_POINT)
     return r, r if r == g.dim else bareiss_det(g.dense())[0]
 
 
@@ -121,7 +125,7 @@ def is_semisimple_at(l, n, point):
     """True iff every standard-module Gram matrix has full rank at the point."""
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)
-        if fraction_rank(g.evaluate(point)) != g.dim:
+        if g.rank_at(point) != g.dim:
             return False
     return True
 
@@ -136,7 +140,7 @@ def top_layer_check(l, n):
             g = gram_matrix(mu, l, n)
             if len({k for _, _, k, _ in g.blocks()}) > 1:
                 return False
-            if fraction_rank(g.evaluate(1)) != g.dim:
+            if g.rank_at(1) != g.dim:
                 return False
     return True
 
@@ -227,6 +231,6 @@ def gram_report(mu, l, n, point=None, want_det=False):
     else:
         out["generic_rank"] = point_and_generic_rank(g)[1]
     if point is not None:
-        out["rank_at"] = fraction_rank(g.evaluate(point))
+        out["rank_at"] = g.rank_at(point)
         out["at"] = str(point)
     return out

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 from types import MappingProxyType
 
 from . import diagram as dg
@@ -425,17 +426,18 @@ def vanishing_top_layer_check(l, n):
     return True
 
 
-def ideal_section_dims_check(l, n):
-    """Count of basis diagrams with vector exactly m equals the squared
-    transversal size times the order of the matching group, and the basis
-    has a diagram of each vector of gamma_set and of no other."""
-    from math import factorial
+def section_size(mvec, l, n):
+    """|T(m)|^2 * prod m_i!: the squared transversal size times the order of
+    the matching group, the number of basis diagrams of vector m."""
+    return len(transversal(mvec, l, n)) ** 2 * prod(map(factorial, mvec))
 
+
+def ideal_section_dims_check(l, n):
+    """Count of basis diagrams with vector exactly m equals section_size,
+    and the basis has a diagram of each vector of gamma_set and of no
+    other."""
     counts = vector_counts(l, n)
     for mvec in gamma.gamma_set(l, n):
-        size = len(transversal(mvec, l, n)) ** 2
-        for x in mvec:
-            size *= factorial(x)
-        if counts.get(mvec, 0) != size:
+        if counts.get(mvec, 0) != section_size(mvec, l, n):
             return False
     return set(counts) == set(gamma.gamma_set(l, n))

@@ -4,12 +4,12 @@ quotient, with desk-scale verification of the hereditary-ideal conditions:
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import diagram as dg
 from . import gamma
 from .algebra import enumerate_basis, generated_hom_check, sandwich_middles
-from .standard_modules import InvariantError, polar_decompose, transversal, vector_counts
+from .standard_modules import InvariantError, polar_decompose, section_size, vector_counts
 
 
 class HeredityChain:
@@ -115,9 +115,7 @@ def corner_group_check(mvec, l, n):
         _, q2 = dg.compose(q1, bm)
         if dg.prop_vector(q2, l) == mvec:
             survivors.add(q2)
-    want = 1
-    for x in mvec:
-        want *= factorial(x)
+    want = prod(map(factorial, mvec))
     if len(survivors) != want:
         return False, want
     match = {q: _matching_of(q, bm, l) for q in survivors}
@@ -174,16 +172,13 @@ def section_checks(l, n, delta0=None):
         per_vector = []
         for m in consumed:
             cnt = counts.get(m, 0)
-            tsq = len(transversal(m, l, n)) ** 2
-            group = 1
-            for x in m:
-                group *= factorial(x)
+            size = section_size(m, l, n)
             per_vector.append(
                 {
                     "vector": list(m),
                     "basis_count": cnt,
-                    "transversal_sq_times_group": tsq * group,
-                    "ok": cnt == tsq * group,
+                    "transversal_sq_times_group": size,
+                    "ok": cnt == size,
                 }
             )
             sec_dim += cnt

@@ -25,12 +25,7 @@ from .standard_modules import (
     polar_decompose,
 )
 from .gram import gram_summary, contravariance_check, top_layer_check
-from .branching import (
-    branching_dim_check,
-    classified_dim_checks,
-    submodule_closure_check,
-    quotient_exactness_check,
-)
+from .branching import classified_dim_checks, submodule_closure_check
 from .structure import (
     section_checks,
     a_section_checks,
@@ -248,13 +243,7 @@ def check_module_globalisation(l, n):
 def check_branching_dims(l, n):
     if n < 1:
         return True
-    for lam in all_labels(l, n):
-        if not branching_dim_check(lam, l, n):
-            return False
-        ok, _, _ = classified_dim_checks(lam, l, n)
-        if not ok:
-            return False
-    return True
+    return all(classified_dim_checks(lam, l, n)[0] for lam in all_labels(l, n))
 
 
 def check_submodule_closure(l, n):
@@ -263,8 +252,6 @@ def check_submodule_closure(l, n):
     for lam in all_labels(l, n):
         rep = submodule_closure_check(lam, l, n)
         if not (rep["B1_closed"] and rep["A_closed"]):
-            return False
-        if not quotient_exactness_check(lam, l, n):
             return False
     return True
 

@@ -10,10 +10,9 @@ from tonalg import gamma
 from tonalg.algebra import corner_iso_check, sandwich_middles
 from tonalg.branching import (
     restrict_rule,
-    branching_dim_check,
+    classified_dim_checks,
     submodule_closure_check,
     leak_check,
-    quotient_exactness_check,
 )
 from tonalg.exactla import bareiss_det
 from tonalg.gram import GENERIC_POINT, gram_matrix, gram_summary, rank_at
@@ -62,8 +61,8 @@ def test_criterion_04_branching_identities():
     ok = ok and rule2.sub == (((1,), ()),) and rule2.quo == (((1,), (1,)),)
     ok = ok and [standard_dim(mu, 2, 3) for mu in rule2.all_labels()] == [4, 3]
     ok = ok and standard_dim(((), (1,)), 2, 4) == 7
-    ok = ok and branching_dim_check(((2,), ()), 2, 4)
-    ok = ok and branching_dim_check(((), (1,)), 2, 4)
+    ok = ok and classified_dim_checks(((2,), ()), 2, 4)[0]
+    ok = ok and classified_dim_checks(((), (1,)), 2, 4)[0]
     report(4, ok, "restriction identities 10 = 4+3+1+2 and 7 = 4+3")
 
 
@@ -136,7 +135,9 @@ def test_criterion_11_submodule_closure():
     ok = ok and leak_check(((1,), ()), 2, 3)
     for nplus1 in (2, 3, 4, 5):
         for lam in all_labels(2, nplus1):
-            if not quotient_exactness_check(lam, 2, nplus1):
+            if not submodule_closure_check(lam, 2, nplus1)["A_closed"]:
+                ok = False
+            if not classified_dim_checks(lam, 2, nplus1)[0]:
                 ok = False
     report(11, ok, "propagating part closes, the enlarged class leaks, quotients exact")
 

@@ -156,14 +156,19 @@ def test_perturbed_gram_block_breaks_contravariance(monkeypatch, perturb):
 def test_dropped_map_entry_fails_span_closure(monkeypatch):
     # negative control: a map that no longer covers its last block
     lam, l, nplus1 = ((2,), ()), 2, 4
-    mod = sm.standard_module(lam, l, nplus1)
-    _, classes = br.classify_basis(lam, l, nplus1)
-    gens = br._included_generators(l, nplus1)
-    assert br._span_closed(mod, classes, lambda c: c != 0, gens)
+    table = br.restriction(lam, l, nplus1)
+    assert br._span_closed(table.classes, table.maps, lambda c: c != 0)
+    short = [amap[:-1] for amap in table.maps]
+    assert not br._span_closed(table.classes, short, lambda c: c != 0)
     real = sm.StandardModule.action_map
     monkeypatch.setattr(sm.StandardModule, "action_map", lambda self, d: real(self, d)[:-1])
-    assert not br._span_closed(mod, classes, lambda c: c != 0, gens)
-    assert not verify.check_submodule_closure(l, nplus1)
+    # the restriction table is cached per process: build it anew with the
+    # short maps, and drop it afterwards
+    br.restriction.cache_clear()
+    try:
+        assert not verify.check_submodule_closure(l, nplus1)
+    finally:
+        br.restriction.cache_clear()
 
 
 def test_specht_matrices_are_built_once_per_matching(monkeypatch):

@@ -308,3 +308,15 @@ def test_closed_output_pipe_exits_2_without_traceback(argv, read):
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err.count("error:") <= 1 and len(err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--l", "2", "--n", "2", "--out"],
+    ["bratteli", "--l", "2", "--n-max", "2", "--dot"],
+    ["bratteli", "--l", "2", "--n-max", "2", "--csv"],
+])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "out.txt")
+    assert main(argv + [target]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and target in err

@@ -105,6 +105,8 @@ class DenseGram:
     def evaluate(self, x):
         return [[e.evaluate(x) for e in row] for row in self.entries]
 
+    rank_at = gr.GramMatrix.rank_at
+
 
 @lru_cache(maxsize=None)
 def _grams(l, n):

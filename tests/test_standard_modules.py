@@ -221,6 +221,14 @@ def test_ideal_section_dims():
         assert sm.ideal_section_dims_check(l, n)
 
 
+def test_section_size_worked_values():
+    # at (2,4): |T(m)| is 1, 10 and 3, and the matching groups S_4, S_2, S_2
+    assert sm.section_size((4, 0), 2, 4) == 1 * 24
+    assert sm.section_size((2, 0), 2, 4) == 10 ** 2 * 2
+    assert sm.section_size((0, 2), 2, 4) == 3 ** 2 * 2
+    assert sum(sm.section_size(m, 2, 4) for m in gamma.gamma_set(2, 4)) == len(enumerate_basis(2, 4, 4))
+
+
 def test_vector_counts_are_built_once_and_read_only():
     counts = sm.vector_counts(2, 4)
     assert sm.vector_counts(2, 4) is counts
