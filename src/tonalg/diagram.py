@@ -124,9 +124,12 @@ def serialize(d):
 
 
 def parse(text):
-    """Inverse of serialize (round-trip exact)."""
+    """Inverse of serialize (round-trip exact).  Raises DiagramError unless
+    the head is two nonnegative integers `n,m`."""
     head, _, body = text.partition("|")
-    n_s, _, m_s = head.partition(",")
+    n_s, comma, m_s = head.partition(",")
+    if not (comma and n_s.isdecimal() and m_s.isdecimal()):
+        raise DiagramError("diagram %r: head must be two nonnegative integers n,m" % text)
     n, m = int(n_s), int(m_s)
     blocks = []
     if body:
@@ -216,16 +219,6 @@ def flip(p):
     blocks = [tuple(sorted([v + m if v < n else v - n for v in b])) for b in p.blocks]
     blocks.sort()
     return Diagram(m, n, tuple(blocks))
-
-
-def lateral_flip(p):
-    """Mirror image: conjugate by the order-reversing permutation on each side."""
-    blocks = []
-    for b in p.blocks:
-        blocks.append(
-            tuple(p.n - 1 - v if v < p.n else p.n + (p.m - 1) - (v - p.n) for v in b)
-        )
-    return Diagram(p.n, p.m, _canonical(blocks))
 
 
 def kernel(block, n):

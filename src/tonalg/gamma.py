@@ -89,11 +89,6 @@ def total_key(mvec):
     return (ht(mvec), tuple(-x for x in mvec))
 
 
-def total_cmp(a, b):
-    ka, kb = total_key(a), total_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 def chain(l, n):
     """The vectors in ascending total order; the last is (n, 0, ..., 0)."""
     return list(gamma_set(l, n))

@@ -314,11 +314,6 @@ class StandardModule:
         self.rep = outer_rep(self.mu)
         self.dim = len(self.profiles) * self.rep.dim
 
-    def basis_labels(self):
-        return [
-            (p, w) for p in self.profiles for w in self.rep.basis
-        ]
-
     def action_map(self, d):
         """The action of diagram d as a tuple over column blocks j, each
         None (d sends block j to zero) or (i, k, B): d sends block j to

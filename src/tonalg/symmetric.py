@@ -331,10 +331,6 @@ def specht_rep(lam):
     return SpechtRep(lam)
 
 
-def specht_dim(lam):
-    return hook_dim(tuple(lam))
-
-
 class OuterRep:
     """Outer tensor product of Specht modules for a product of symmetric groups.
 

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import diagram as dg
 from . import gamma
-from .algebra import Element, corner_iso_check, enumerate_basis, reduce_mod_below, sandwich_middles
+from .algebra import Element, corner_iso_check, enumerate_basis, reduce_mod_below
 from .exactla import identity_matrix
 from .standard_modules import (
     standard_module,
@@ -22,7 +22,7 @@ from .standard_modules import (
     generator_diagrams,
     all_labels,
     map_product,
-    polar_decompose,
+    transversal_diagrams,
 )
 from .gram import gram_summary, contravariance_check, top_layer_check
 from .branching import classified_dim_checks, submodule_closure_check
@@ -43,8 +43,9 @@ def pairwise_closure(l, n, basis=None):
 
     tone_ok says every product ab is l-tone, bottleneck_ok that
     prop_vector(ab) <= prop_vector(a) in the index poset.  `basis` defaults
-    to the (l, n) diagram basis; if any of its diagrams is not l-tone,
-    neither property is established and (False, False) is returned.
+    to the (l, n) diagram basis and is only walked for its tone; if any of
+    its diagrams is not l-tone, neither property is established and
+    (False, False) is returned.
 
     The sweep composes one representative per (left signature, right
     signature) pair instead of every pair of diagrams, and is exact:
@@ -62,21 +63,21 @@ def pairwise_closure(l, n, basis=None):
       no top vertex pass into ab unchanged and are l-tone already;
     * hence every product block's kernel mod l, whether it propagates, and
       its class are functions of the two signatures, and so are
-      prop_vector(ab), prop_vector(a) and the pair's verdict.
+      prop_vector(ab), prop_vector(a) and the pair's verdict;
+    * a basis diagram of vector m is (top profile in T(m), matching, bottom
+      profile in T(m)) by the polar decomposition, so the right signatures
+      are the transversal diagrams t of every vector and the left ones
+      their flips.
     """
     if basis is None:
         basis = enumerate_basis(l, n, n)
     if not all(dg.is_l_tone(d, l) for d in basis):
         return False, False
-    lefts, rights = {}, {}
-    for d in basis:
-        top, _, bottom, _ = polar_decompose(d, l)
-        lefts.setdefault(bottom, d)
-        rights.setdefault(top, d)
+    rights = [t for m in gamma.gamma_set(l, n) for t in transversal_diagrams(m, l, n)]
     tone_ok = bottleneck_ok = True
-    for a in lefts.values():
+    for a in map(dg.flip, rights):
         va = dg.prop_vector(a, l)
-        for b in rights.values():
+        for b in rights:
             _, d = dg.compose(a, b)
             if not dg.is_l_tone(d, l):
                 tone_ok = False
@@ -147,29 +148,22 @@ def check_lower_ideal_product(l, n):
     """a_m' * p * a_m lies strictly below m for every basis diagram p and
     every pair with m not below m'.
 
-    Two stages, each exact:
-
-    * the products a_m' * p are, up to delta, the a_m' * c for c over
-      sandwich_middles(a_m', identity(n), l) (see there);
-    * prop_vector(q1 * a_m) depends on q1 only through its bottom profile
-      from polar_decompose, by the signature argument of pairwise_closure,
-      so one q1 per bottom profile is composed with each a_m.
+    a_m' * p has some vector m'' <= m' (the bottleneck), so its bottom
+    profile lies in T(m''); prop_vector(q * a_m) depends on q only through
+    its bottom profile, by the signature argument of pairwise_closure; and
+    m not <= m' with m'' <= m' gives m not <= m''.  So flip(t) * a_m is
+    composed for each t in transversal_diagrams(m'') over every m'' with m
+    not <= m''.
     """
     g = gamma.gamma_set(l, n)
-    one = dg.identity(n)
-    for mp in g:
-        not_below = [m for m in g if not gamma.poset_leq(m, mp, l)]
-        if not not_below:
-            continue
-        amp = dg.a_m(mp, l, n)
-        reps = {}
-        for q1 in dict.fromkeys(dg.compose(amp, c)[1] for c in sandwich_middles(amp, one, l)):
-            reps.setdefault(polar_decompose(q1, l)[2], q1)
-        for m in not_below:
-            am = dg.a_m(m, l, n)
-            for q1 in reps.values():
-                _, q2 = dg.compose(q1, am)
-                if not gamma.poset_lt(dg.prop_vector(q2, l), m, l):
+    for m in g:
+        am = dg.a_m(m, l, n)
+        for mpp in g:
+            if gamma.poset_leq(m, mpp, l):
+                continue
+            for t in transversal_diagrams(mpp, l, n):
+                _, q = dg.compose(dg.flip(t), am)
+                if not gamma.poset_lt(dg.prop_vector(q, l), m, l):
                     return False
     return True
 

@@ -45,6 +45,17 @@ def test_compose(capsys):
     assert obj == {"delta_exponent": 1, "diagram": "2,2|T1,T2;B1,B2"}
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["--p=-1,2|", "--q", "2,0|T1,T2"], "-1,2|"),
+    (["--p", "2|T1,B1", "--q", "1,1|T1,B1"], "2|T1,B1"),
+])
+def test_malformed_diagram_head_is_named(capsys, argv, text):
+    code = main(["compose"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: diagram %r: head must be two nonnegative integers n,m\n" % text
+
+
 def test_basis(capsys):
     code, out = run_cli(capsys, ["basis", "--l", "2", "--n", "2"])
     assert code == 0

@@ -77,12 +77,6 @@ def test_flip_antiautomorphism():
         assert k1 == k2 and dg.flip(d1) == d2
 
 
-def test_lateral_flip():
-    s1 = dg.transposition(1, 3)
-    assert dg.lateral_flip(s1) == dg.transposition(2, 3)
-    assert dg.lateral_flip(dg.lateral_flip(dg.A(1, 3, 4))) == dg.A(1, 3, 4)
-
-
 def test_kernel_and_tone():
     d = dg.identity(5)
     assert all(dg.kernel(b, 5) == 0 for b in d.blocks)

@@ -55,12 +55,6 @@ def test_total_order_chain_l3():
     assert desc[: len(expect)] == expect
 
 
-def test_total_cmp():
-    assert gamma.total_cmp((2, 0), (2, 0)) == 0
-    assert gamma.total_cmp((0, 1), (2, 0)) == -1
-    assert gamma.total_cmp((2, 0), (0, 1)) == 1
-
-
 def test_chain_small_and_top():
     assert gamma.chain(2, 2) == [(0, 0), (0, 1), (2, 0)]
     for l, n in [(1, 5), (2, 6), (3, 7)]:

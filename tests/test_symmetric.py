@@ -29,20 +29,20 @@ def test_tableau_sequences():
 
 
 def test_specht_dims():
-    assert sym.specht_dim((2, 1)) == 2
+    assert sym.hook_dim((2, 1)) == 2
     for n in range(1, 7):
-        assert sym.specht_dim((n,)) == 1
-        assert sym.specht_dim(tuple([1] * n)) == 1
+        assert sym.hook_dim((n,)) == 1
+        assert sym.hook_dim(tuple([1] * n)) == 1
         # one-row shape carries the trivial action
         assert all(M == [[1]] for M in sym.specht_rep((n,)).gens)
     for k in range(0, 7):
         for lam in sym.partitions_of(k):
-            assert sym.specht_rep(lam).dim == sym.specht_dim(lam)
+            assert sym.specht_rep(lam).dim == sym.hook_dim(lam)
 
 
 def test_dim_squares_sum_to_factorial():
     for k in range(0, 7):
-        assert sum(sym.specht_dim(lam) ** 2 for lam in sym.partitions_of(k)) == factorial(k)
+        assert sum(sym.hook_dim(lam) ** 2 for lam in sym.partitions_of(k)) == factorial(k)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -138,6 +138,6 @@ def test_sym_restriction():
     assert sym.sym_restriction((4,)) == [(3,)]
     for k in range(1, 7):
         for lam in sym.partitions_of(k):
-            assert sym.specht_dim(lam) == sum(
-                sym.specht_dim(m) for m in sym.sym_restriction(lam)
+            assert sym.hook_dim(lam) == sum(
+                sym.hook_dim(m) for m in sym.sym_restriction(lam)
             )

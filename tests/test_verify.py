@@ -4,7 +4,7 @@ from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import verify
 from tonalg.algebra import enumerate_basis, sandwich_middles
-from tonalg.standard_modules import polar_decompose
+from tonalg.standard_modules import polar_decompose, transversal
 from tonalg.verify import pairwise_closure
 
 
@@ -71,6 +71,20 @@ def test_wrong_products_break_the_bottleneck(monkeypatch):
     assert not verify.check_tone_closure(2, 3)
 
 
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 4), (1, 4), (2, 5), (3, 5)])
+def test_basis_profiles_are_the_transversals(l, n):
+    # both profile routes rest on this: the top and the bottom profiles of
+    # the basis diagrams of vector m are exactly transversal(m)
+    tops, bottoms = set(), set()
+    for d in enumerate_basis(l, n, n):
+        top, _, bottom, m = polar_decompose(d, l)
+        tops.add((m, top))
+        bottoms.add((m, bottom))
+    want = {(m, t) for m in gamma.gamma_set(l, n) for t in transversal(m, l, n)}
+    assert tops == want
+    assert bottoms == want
+
+
 SWEEP_CASES = [(1, 3), (2, 4), (3, 4), (2, 5), (3, 5)]
 
 
@@ -89,20 +103,27 @@ def test_lower_ideal_sweep_matches_plain_images(l, n):
     for mp, amp in ams.items():
         left = {dg.compose(amp, p)[1] for p in basis}
         assert {dg.compose(amp, c)[1] for c in sandwich_middles(amp, one, l)} == left
-        # the second stage keeps one q1 per bottom profile
-        reps = {}
-        for q in sorted(left):
-            reps.setdefault(polar_decompose(q, l)[2], q)
         for m, am in ams.items():
             plain = {dg.compose(q, am)[1] for q in left}
             assert middle_images(amp, am, l) == plain, (mp, m)
-            kept = {dg.prop_vector(dg.compose(q, am)[1], l) for q in reps.values()}
-            assert kept == {dg.prop_vector(d, l) for d in plain}, (mp, m)
+        # check_lower_ideal_product composes T(m'') over m'' <= m' in their place
+        profiles = {polar_decompose(q, l)[2] for q in left}
+        below = {t for m in g if gamma.poset_leq(m, mp, l) for t in transversal(m, l, n)}
+        assert profiles == below, mp
 
 
 def test_lower_ideal_product_fails_on_wrong_products(monkeypatch):
     assert verify.check_lower_ideal_product(2, 4)
     monkeypatch.setattr(verify.dg, "compose", lambda p, q: (0, dg.identity(p.n)))
+    assert not verify.check_lower_ideal_product(2, 4)
+
+
+def test_lower_ideal_product_fails_when_a_m_keeps_the_vector(monkeypatch):
+    # the unpatched run fills the layout and transversal caches, which read
+    # a_m; with a_m the identity, flip(t) * a_m keeps t's vector (0, 2),
+    # which is not below m = (2, 0)
+    assert verify.check_lower_ideal_product(2, 4)
+    monkeypatch.setattr(verify.dg, "a_m", lambda m, l, n: dg.identity(n))
     assert not verify.check_lower_ideal_product(2, 4)
 
 
