@@ -6,11 +6,11 @@ from tonalg.algebra import corner_iso_check, sandwich_middles
 from tonalg.structure import a_chain, p_chain, section_checks
 
 print("== chain of ideals for l=2, n=5 ==")
-print("labels:", p_chain(2, 5).labels)
+print("labels:", p_chain(2, 5))
 
 print()
 print("== height-refined chain for the fully-propagating quotient, l=3, n=8 ==")
-for t, m in a_chain(3, 8).labels:
+for t, m in a_chain(3, 8):
     print("  level t=%d: %s" % (t, m))
 
 print()

@@ -100,24 +100,6 @@ class Element:
             self.l, self.m, self.n, {dg.flip(d): p for d, p in self.terms.items()}
         )
 
-    def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: kv[0])
-        return {
-            "l": self.l,
-            "n": self.n,
-            "m": self.m,
-            "terms": [
-                {"diagram": dg.serialize(d), "poly": p.to_json()} for d, p in items
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        terms = {}
-        for t in obj["terms"]:
-            terms[dg.parse(t["diagram"])] = DeltaPoly.from_json(t["poly"])
-        return Element(obj["l"], obj["n"], obj["m"], terms)
-
     def __repr__(self):
         if not self.terms:
             return "Element(0; l=%d, shape=(%d,%d))" % (self.l, self.n, self.m)
@@ -217,8 +199,9 @@ def corner_images(e, l):
     The image of q contracts each part of e to one vertex: q's top vertices
     by e's bottom parts, numbered in least-vertex order, and q's
     bottom vertices by e's top parts likewise.  On W_b(l, n) this is
-    restrict(q, l+1, n); on e_pi(n) it is the pair contraction.  Raises
-    DiagramError unless e is square with as many top parts as bottom parts.
+    restrict(q, l+1, n) of tests/oracles.py; on e_pi(n) it is the pair
+    contraction.  Raises DiagramError unless e is square with as many top
+    parts as bottom parts.
     """
     if e.n != e.m:
         raise dg.DiagramError("the corner needs a square e, got shape (%d,%d)" % (e.n, e.m))

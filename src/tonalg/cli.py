@@ -19,10 +19,11 @@ from . import diagram as dg
 
 def parse_mu(text, l):
     """Multipartition syntax: components separated by |, parts by commas,
-    empty component written as - (e.g. "2,1|1")."""
+    empty component written as - (e.g. "2,1|1").  ValueError naming --mu
+    and the text unless it is one."""
     comps = text.split("|")
     if len(comps) != l:
-        raise ValueError("expected %d components separated by |, got %r" % (l, text))
+        raise ValueError("--mu %r: expected %d components separated by |" % (text, l))
     out = []
     for comp in comps:
         comp = comp.strip()
@@ -31,18 +32,23 @@ def parse_mu(text, l):
         if comp in ("-", ""):
             out.append(())
             continue
-        parts = tuple(int(p) for p in comp.split(","))
+        # a part that is not a decimal number is read as 0 and refused
+        fields = [f.strip() for f in comp.split(",")]
+        parts = tuple(int(f) if f.isdecimal() else 0 for f in fields)
         if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
-            raise ValueError("component %r is not a partition" % comp)
+            raise ValueError("--mu %r: component %r is not a partition" % (text, comp))
         out.append(parts)
     return tuple(out)
 
 
 def parse_rational(text):
-    num, _, den = text.partition("/")
-    if den and int(den) == 0:
-        raise ValueError("zero denominator in %r" % text)
-    return Fraction(int(num), int(den) if den else 1)
+    """The --at point p or p/q as an exact Fraction; ValueError naming --at
+    and the text unless p and q are integers and q is nonzero."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--at %r: expected an exact rational p or p/q, q nonzero" % text) from None
 
 
 def validate(args):
@@ -53,7 +59,8 @@ def validate(args):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ValueError("--%s must be nonnegative, got %d" % (name.replace("_", "-"), value))
-    args.at = parse_rational(args.at) if getattr(args, "at", None) else None
+    at = getattr(args, "at", None)
+    args.at = None if at is None else parse_rational(at)
 
 
 def _emit(args, text):

@@ -124,10 +124,6 @@ class DeltaPoly:
     def to_json(self):
         return {str(k): v for k, v in sorted(self.c.items())}
 
-    @staticmethod
-    def from_json(d):
-        return DeltaPoly({int(k): v for k, v in d.items()})
-
     def __str__(self):
         if not self.c:
             return "0"

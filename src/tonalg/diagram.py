@@ -57,9 +57,6 @@ class Diagram:
     def __repr__(self):
         return "Diagram(%r)" % serialize(self)
 
-    def size(self):
-        return self.n + self.m
-
 
 def _canonical(blocks):
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -236,18 +233,6 @@ def is_propagating(block, n):
     return block[0] < n <= block[-1]
 
 
-def prop_number(p):
-    """Number of blocks meeting both the top and the bottom row."""
-    return sum(1 for b in p.blocks if is_propagating(b, p.n))
-
-
-def block_class(block, n, l):
-    """Tone class of a propagating block: its top order mod l, with 0 -> l."""
-    t = sum(1 for v in block if v < n)
-    c = t % l
-    return c if c else l
-
-
 def prop_vector(p, l):
     """Tuple (m_1, ..., m_l): m_i = number of propagating blocks of class i.
 
@@ -263,24 +248,6 @@ def prop_vector(p, l):
         if 0 < t < len(b):
             out[(t - 1) % l] += 1
     return tuple(out)
-
-
-def restrict(p, lo, hi):
-    """Induced partition on top/bottom indices in [lo, hi], re-indexed from 1."""
-    if not 1 <= lo <= hi:
-        raise DiagramError("bad range [%d,%d]" % (lo, hi))
-    w = hi - lo + 1
-    blocks = []
-    for b in p.blocks:
-        nb = []
-        for v in b:
-            if v < p.n and lo - 1 <= v <= hi - 1:
-                nb.append(v - (lo - 1))
-            elif v >= p.n and lo - 1 <= v - p.n <= hi - 1:
-                nb.append(w + (v - p.n) - (lo - 1))
-        if nb:
-            blocks.append(nb)
-    return Diagram(w, w, _canonical(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +309,6 @@ def e(i, n):
 def b_block(l):
     """Single block joining all l tops and l bottoms."""
     return Diagram(l, l, (tuple(range(2 * l)),))
-
-
-def w(l):
-    """The unique l-tone element of shape (l, 0)."""
-    return Diagram(l, 0, (tuple(range(l)),))
-
-
-def w_star(l):
-    """The unique l-tone element of shape (0, l)."""
-    return Diagram(0, l, (tuple(range(l)),))
 
 
 def ww_star(l):

@@ -94,11 +94,6 @@ def chain(l, n):
     return list(gamma_set(l, n))
 
 
-def ideal_label_set(l, n, mvec):
-    """Labels of the ideal attached to mvec: every vector totally below it."""
-    return [v for v in gamma_set(l, n) if total_key(v) <= total_key(mvec)]
-
-
 def chain_prefix_check(l, n):
     """For consecutive chain elements, the strict poset down-set of the
     successor is contained in the total-order down-set of the predecessor."""

@@ -13,10 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 import random
 
-from .deltapoly import DeltaPoly
 from . import diagram as dg
 from . import gamma
-from .algebra import Element
 from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul
 from .standard_modules import (
     standard_module,
@@ -145,17 +143,6 @@ def top_layer_check(l, n):
     return True
 
 
-def _random_element(l, n, rng, size=2):
-    gens = list(generator_diagrams(l, n).values()) + [dg.identity(n)]
-    x = Element(l, n, n)
-    for _ in range(size):
-        d = dg.identity(n)
-        for _ in range(rng.randint(1, 3)):
-            k, d = dg.compose(d, rng.choice(gens))
-        x = x + Element.from_diagram(d, l, DeltaPoly.delta(k, rng.randint(-2, 2)))
-    return x
-
-
 def transpose_times_gram(amap, g):
     """M^T G as a block dict {(j, c): (k, P)}, for the action map of M."""
     out = {}
@@ -181,11 +168,12 @@ def gram_times(g, amap):
     return out
 
 
-def contravariance_check(mu, l, n, trials=8, seed=0):
-    """<x.u, w> = <u, x^op.w> exactly in Z[delta], for random elements x.
+def contravariance_check(mu, l, n, trials=16, seed=0):
+    """<x.u, w> = <u, x^op.w> exactly in Z[delta], for every element x
+    supported on `trials` random generator words.
 
-    Checked as M_d^T G = G M_flip(d) for each diagram d in the support of
-    each x.  That is enough: x = sum_d p_d d and x^op = sum_d p_d flip(d),
+    Checked as M_d^T G = G M_flip(d) for each diagram d of the support.
+    That is enough: x = sum_d p_d d and x^op = sum_d p_d flip(d),
     and d -> M_d is linear, so M_x^T G = sum_d p_d M_d^T G = sum_d p_d G
     M_flip(d) = G M_x^op.  A diagram sends each column block to at most one
     block, so every block of either side is one monomial product or zero,
@@ -203,13 +191,17 @@ def contravariance_check(mu, l, n, trials=8, seed=0):
 
 @lru_cache(maxsize=None)
 def _random_supports(l, n, trials, seed):
-    """(d, flip(d)) for the distinct diagrams d in the supports of the
-    `trials` random elements drawn from random.Random(seed): the same for
-    every label at (l, n), so drawn once."""
+    """(d, flip(d)) for the distinct diagrams d of `trials` random words of
+    one to three generators (the identity among them), drawn from
+    random.Random(seed): the same for every label at (l, n), so drawn once."""
     rng = random.Random(seed)
+    gens = list(generator_diagrams(l, n).values()) + [dg.identity(n)]
     support = {}
     for _ in range(trials):
-        support.update(dict.fromkeys(_random_element(l, n, rng).terms))
+        d = dg.identity(n)
+        for _ in range(rng.randint(1, 3)):
+            d = dg.compose(d, rng.choice(gens))[1]
+        support[d] = None
     return tuple((d, dg.flip(d)) for d in support)
 
 

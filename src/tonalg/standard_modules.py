@@ -13,7 +13,7 @@ to least-vertex order gives the polar decomposition.
 
 polar_decompose is the one reader of a (top profile, sigma, bottom profile)
 triple and polar_recompose the one writer: the layout, the transversal
-diagrams, the matching diagrams, the left-ideal reduction, and the Gram and
+diagrams, the left-ideal reduction (decompose_left_term), and the Gram and
 corner-group matchings all go through them.
 """
 
@@ -183,12 +183,6 @@ def transversal_diagrams(mvec, l, n):
     return tuple(profile_diagram(p, mvec, l, n) for p in transversal(mvec, l, n))
 
 
-def w_sigma(sigma, mvec, l, n):
-    """Matching diagram on the canonical layout: class-i top slot k joined to
-    class-i bottom slot sigma[i-1][k]."""
-    return polar_recompose(layout(mvec, l, n), sigma, layout(mvec, l, n), l, n)
-
-
 def decompose_left_term(d, mvec, l, n):
     """Express a left-ideal diagram with the canonical bottom layout as
     (profile, sigma), or None when its propagating vector drops below mvec.
@@ -208,21 +202,6 @@ def decompose_left_term(d, mvec, l, n):
     if bottom != layout(mvec, l, n):
         raise InvariantError("bottom layout violated: %r" % (bottom,))
     return top, sigma
-
-
-def left_ideal_reduce(x, mvec):
-    """Reduce an Element supported on the left ideal: drop the terms whose
-    vector falls strictly below mvec, and express every survivor uniquely
-    as (coefficient, profile, sigma)."""
-    _require_vector(mvec, x.l, x.n)
-    out = []
-    for d, p in sorted(x.terms.items(), key=lambda kv: kv[0]):
-        res = decompose_left_term(d, mvec, x.l, x.n)
-        if res is None:
-            continue
-        prof, sigma = res
-        out.append((p, prof, sigma))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,6 @@ from .algebra import enumerate_basis, generated_hom_check, sandwich_middles
 from .standard_modules import InvariantError, polar_decompose, section_size, vector_counts
 
 
-class HeredityChain:
-    """Ordered ideal data: kind is "p" (whole algebra, labels (r,0,...,0))
-    or "a" (fully-propagating quotient, labels refined through the height
-    levels in descending lexicographic order)."""
-
-    def __init__(self, kind, l, n, labels):
-        self.kind = kind
-        self.l = l
-        self.n = n
-        self.labels = labels
-
-    def __len__(self):
-        return len(self.labels)
-
-
 def p_chain(l, n):
     """Ideal labels (n,0,..,0), (n-l,0,..,0), ..., (b,0,..,0), descending."""
     labels = []
@@ -34,7 +19,7 @@ def p_chain(l, n):
     while r >= 0:
         labels.append(tuple([r] + [0] * (l - 1)))
         r -= l
-    return HeredityChain("p", l, n, labels)
+    return labels
 
 
 def a_chain(l, n):
@@ -46,7 +31,7 @@ def a_chain(l, n):
     for t in range(n, gamma.h_min(l, n) - 1, -1):
         for m in sorted(eta.get(t, []), reverse=True):
             labels.append((t, m))
-    return HeredityChain("a", l, n, labels)
+    return labels
 
 
 def fully_propagating_dim(l, n):
@@ -72,10 +57,10 @@ def section_label_sets(l, n):
     ch = p_chain(l, n)
     g = gamma.gamma_set(l, n)
     downs = []
-    for label in ch.labels:
+    for label in ch:
         downs.append({m for m in g if gamma.poset_leq(m, label, l)})
     out = []
-    for i, label in enumerate(ch.labels):
+    for i, label in enumerate(ch):
         nxt = downs[i + 1] if i + 1 < len(downs) else set()
         out.append((label, sorted(downs[i] - nxt)))
     return out
@@ -201,7 +186,7 @@ def a_section_checks(l, n):
     to its dimension; every label is honestly idempotent."""
     counts = vector_counts(l, n)
     total = 0
-    for t, m in a_chain(l, n).labels:
+    for t, m in a_chain(l, n):
         a = dg.a_m(m, l, n)
         k, aa = dg.compose(a, a)
         if k != 0 or aa != a:
@@ -223,8 +208,8 @@ def chain_order_compatibility(l, n):
 def structure_report(l, n, delta0=None):
     """JSON-ready structure data for the command line front end."""
     rep = section_checks(l, n, delta0)
-    rep["p_chain"] = [list(m) for m in p_chain(l, n).labels]
-    rep["a_chain"] = [[t, list(m)] for t, m in a_chain(l, n).labels]
+    rep["p_chain"] = [list(m) for m in p_chain(l, n)]
+    rep["a_chain"] = [[t, list(m)] for t, m in a_chain(l, n)]
     rep["a_sections_ok"] = a_section_checks(l, n)
     rep["chain_compatible_with_total_order"] = chain_order_compatibility(l, n)
     rep["fully_propagating_dim"] = fully_propagating_dim(l, n)

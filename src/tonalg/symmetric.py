@@ -101,11 +101,6 @@ def rem_box(lam, i):
     return tuple(rows)
 
 
-def sym_restriction(lam):
-    """All partitions obtained by removing one box, multiplicity one."""
-    return [rem_box(lam, i) for i in rem_positions(lam)]
-
-
 def add_boxes(mu, j):
     """All multipartitions obtained by adding a box in component j (1-based)."""
     if not 1 <= j <= len(mu):
@@ -132,11 +127,6 @@ def rem_boxes(mu, j):
 
 # ---------------------------------------------------------------------------
 # permutations (0-based image tuples, composed as functions)
-
-
-def perm_compose(p, q):
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def perm_inverse(p):

@@ -1,10 +1,12 @@
 """Plain routes kept as oracles for the tests: composition by a search
 over vertices and the flip by vertex names, a generic set-partition
 generator, the transversal as a filter over every set partition, the
-three-sort polar decomposition, dense Z[delta] matrices: their product
-and equality, each diagram's action matrix and each Gram matrix built entry
-by entry, and the corner isomorphism checked on every ordered pair.  None
-of these is used by the library."""
+three-sort polar decomposition and the matching diagram it inverts, the
+left-ideal reduction of an element, restriction to a range of strands,
+dense Z[delta] matrices: their product and equality, each diagram's action
+matrix and each Gram matrix built entry by entry, and the corner
+isomorphism checked on every ordered pair.  None of these is used by the
+library."""
 
 from itertools import combinations
 
@@ -12,7 +14,13 @@ from tonalg import diagram as dg
 from tonalg.algebra import corner_images, enumerate_basis
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import int_mat_mul
-from tonalg.standard_modules import decompose_left_term, profile_diagram, standard_module
+from tonalg.standard_modules import (
+    decompose_left_term,
+    layout,
+    polar_recompose,
+    profile_diagram,
+    standard_module,
+)
 from tonalg.symmetric import perm_inverse
 
 
@@ -73,6 +81,13 @@ def plain_transversal(mvec, l, n, partitions=None):
     return tuple(sorted(out))
 
 
+def block_class(block, n, l):
+    """Tone class of a propagating block: its top order mod l, with 0 -> l."""
+    t = sum(1 for v in block if v < n)
+    c = t % l
+    return c if c else l
+
+
 def plain_polar_decompose(p, l):
     """(top profile, sigma, bottom profile, vector) by splitting each block
     with a filter and sorting the tops and the bottoms of each class."""
@@ -85,7 +100,7 @@ def plain_polar_decompose(p, l):
         top = tuple(v for v in b if v < n)
         bot = tuple(v - n for v in b if v >= n)
         if top and bot:
-            cls = dg.block_class(b, n, l)
+            cls = block_class(b, n, l)
             top_prof.append((top, cls))
             bot_prof.append((bot, cls))
             links.append((cls, top[0], bot[0]))
@@ -105,6 +120,24 @@ def plain_polar_decompose(p, l):
                 perm[tpos[t]] = bpos[bb]
         sigma.append(tuple(perm))
     return tuple(sorted(top_prof)), tuple(sigma), tuple(sorted(bot_prof)), mvec
+
+
+def w_sigma(sigma, mvec, l, n):
+    """Matching diagram on the canonical layout: class-i top slot k joined to
+    class-i bottom slot sigma[i-1][k]."""
+    return polar_recompose(layout(mvec, l, n), sigma, layout(mvec, l, n), l, n)
+
+
+def left_ideal_reduce(x, mvec):
+    """Reduce an Element supported on the left ideal: drop the terms whose
+    vector falls strictly below mvec, and express every survivor uniquely
+    as (coefficient, profile, sigma)."""
+    out = []
+    for d, p in sorted(x.terms.items(), key=lambda kv: kv[0]):
+        res = decompose_left_term(d, mvec, x.l, x.n)
+        if res is not None:
+            out.append((p, *res))
+    return out
 
 
 def plain_compose(p, q):
@@ -232,6 +265,24 @@ def ordered_pair_gram(mu, l, n):
                     if blk[a][b]:
                         entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
     return entries, exps
+
+
+def restrict(p, lo, hi):
+    """Induced partition on top/bottom indices in [lo, hi], re-indexed from 1."""
+    if not 1 <= lo <= hi:
+        raise dg.DiagramError("bad range [%d,%d]" % (lo, hi))
+    w = hi - lo + 1
+    blocks = []
+    for b in p.blocks:
+        nb = []
+        for v in b:
+            if v < p.n and lo - 1 <= v <= hi - 1:
+                nb.append(v - (lo - 1))
+            elif v >= p.n and lo - 1 <= v - p.n <= hi - 1:
+                nb.append(w + (v - p.n) - (lo - 1))
+        if nb:
+            blocks.append(nb)
+    return dg.make_diagram(w, w, blocks)
 
 
 def pair_sweep_corner_iso_check(e, l, small_l):

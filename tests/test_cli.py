@@ -239,6 +239,27 @@ def test_bad_input_is_refused_with_one_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+AT_ERROR = "--at %r: expected an exact rational p or p/q, q nonzero"
+GRAM_23 = ["gram", "--l", "2", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (GRAM_23 + ["--mu", "1|-", "--at", ""], AT_ERROR % ""),
+    (["structure", "--l", "2", "--n", "3", "--at", ""], AT_ERROR % ""),
+    (GRAM_23 + ["--mu", "1|-", "--at", "1.5"], AT_ERROR % "1.5"),
+    (GRAM_23 + ["--mu", "1|-", "--at", "1/x"], AT_ERROR % "1/x"),
+    (GRAM_23 + ["--mu", "1|-", "--at", "5/"], AT_ERROR % "5/"),
+    (GRAM_23 + ["--mu", "x|-"], "--mu 'x|-': component 'x' is not a partition"),
+    (GRAM_23 + ["--mu", "1,|-"], "--mu '1,|-': component '1,' is not a partition"),
+])
+def test_bad_point_or_label_is_named(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 LOADED_MODULES = """
 import json, sys
 from tonalg.cli import main

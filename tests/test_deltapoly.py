@@ -32,8 +32,3 @@ def test_shift_and_str():
     assert d.shift(1) == DeltaPoly.delta(3, 3)
     assert str(DeltaPoly({3: 1, 2: -3, 1: 3, 0: -1})) == "d^3 - 3*d^2 + 3*d - 1"
     assert str(DeltaPoly.zero()) == "0"
-
-
-def test_json_round_trip():
-    p = DeltaPoly({0: -2, 5: 11})
-    assert DeltaPoly.from_json(p.to_json()) == p

@@ -61,13 +61,6 @@ def test_chain_small_and_top():
         assert gamma.chain(l, n)[-1] == tuple([n] + [0] * (l - 1))
 
 
-def test_ideal_label_set_is_chain_prefix():
-    for l, n in [(2, 5), (3, 6)]:
-        ch = gamma.chain(l, n)
-        for i, m in enumerate(ch):
-            assert gamma.ideal_label_set(l, n, m) == ch[: i + 1]
-
-
 def test_refinement_and_prefix():
     for l in (1, 2, 3):
         for n in range(0, 10):
@@ -117,7 +110,7 @@ def test_h_split():
 def test_ht_equals_prop_count_of_canonical_element():
     for l, n in [(2, 5), (3, 6)]:
         for m in gamma.gamma_set(l, n):
-            assert gamma.ht(m) == dg.prop_number(dg.a_m(m, l, n))
+            assert gamma.ht(m) == sum(dg.prop_vector(dg.a_m(m, l, n), l))
 
 
 def test_hasse_dot():

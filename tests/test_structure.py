@@ -10,14 +10,14 @@ from tonalg.standard_modules import InvariantError
 
 
 def test_p_chain_labels():
-    assert st.p_chain(2, 5).labels == [(5, 0), (3, 0), (1, 0)]
-    assert st.p_chain(3, 8).labels == [(8, 0, 0), (5, 0, 0), (2, 0, 0)]
+    assert st.p_chain(2, 5) == [(5, 0), (3, 0), (1, 0)]
+    assert st.p_chain(3, 8) == [(8, 0, 0), (5, 0, 0), (2, 0, 0)]
     for l, n in [(2, 4), (2, 5), (3, 7), (1, 4)]:
         assert len(st.p_chain(l, n)) == n // l + 1
 
 
 def test_a_chain_levels_worked_example():
-    labels = st.a_chain(3, 8).labels
+    labels = st.a_chain(3, 8)
     assert labels[0] == (8, (8, 0, 0))
     assert labels[1] == (7, (6, 1, 0))
     assert labels[2] == (6, (5, 0, 1)) and labels[3] == (6, (4, 2, 0))

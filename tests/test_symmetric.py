@@ -102,9 +102,8 @@ def test_matrix_of_arbitrary_permutation():
     for _ in range(25):
         p = tuple(rng.sample(range(5), 5))
         q = tuple(rng.sample(range(5), 5))
-        assert int_mat_mul(rep.matrix(p), rep.matrix(q)) == rep.matrix(
-            sym.perm_compose(p, q)
-        )
+        # p o q, composed as functions
+        assert int_mat_mul(rep.matrix(p), rep.matrix(q)) == rep.matrix(tuple(p[i] for i in q))
     assert rep.matrix(tuple(range(5))) == identity_matrix(rep.dim)
 
 
@@ -134,10 +133,11 @@ def test_boxes():
 
 
 def test_sym_restriction():
-    assert set(sym.sym_restriction((3, 1))) == {(2, 1), (3,)}
-    assert sym.sym_restriction((4,)) == [(3,)]
+    # the branching rule of S_k, as removing one box from a one-component label
+    assert set(sym.rem_boxes(((3, 1),), 1)) == {((2, 1),), ((3,),)}
+    assert sym.rem_boxes(((4,),), 1) == [((3,),)]
     for k in range(1, 7):
         for lam in sym.partitions_of(k):
             assert sym.hook_dim(lam) == sum(
-                sym.hook_dim(m) for m in sym.sym_restriction(lam)
+                sym.hook_dim(m) for (m,) in sym.rem_boxes((lam,), 1)
             )

@@ -4,6 +4,7 @@ from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import verify
 from tonalg.algebra import enumerate_basis, sandwich_middles
+from tonalg import standard_modules as sm
 from tonalg.standard_modules import polar_decompose, transversal
 from tonalg.verify import pairwise_closure
 
@@ -57,10 +58,21 @@ def test_pair_outcome_is_fixed_by_signatures(l, n):
             assert pair_outcome(a, b, l) == rep_outcome[left_sig[a], right_sig[b]], (a, b)
 
 
-def test_non_tone_basis_gives_tone_failure():
-    basis = list(enumerate_basis(2, 3, 3)) + [dg.epsilon(1, 3)]
-    tone_ok, _ = pairwise_closure(2, 3, basis)
-    assert tone_ok is False
+@pytest.fixture
+def fresh_vector_counts():
+    sm.vector_counts.cache_clear()
+    yield
+    sm.vector_counts.cache_clear()
+
+
+def test_non_tone_basis_fails_basis_vector_partition(monkeypatch, fresh_vector_counts):
+    # tone closure takes the basis diagrams to be l-tone; basis-vector-partition
+    # is the check that reads each one's tone, so a basis with a non-tone
+    # diagram in it must not pass
+    basis = tuple(enumerate_basis(2, 3, 3)) + (dg.epsilon(1, 3),)
+    monkeypatch.setattr(sm, "enumerate_basis", lambda l, n, m: basis)
+    res = verify.run_verify(2, 3, ["basis-vector-partition"])[-1]
+    assert res.params == "l=2,n=3" and not res.ok
 
 
 def test_wrong_products_break_the_bottleneck(monkeypatch):
