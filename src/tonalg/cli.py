@@ -32,11 +32,13 @@ def parse_mu(text, l):
         if comp in ("-", ""):
             out.append(())
             continue
-        # a part that is not a decimal number is read as 0 and refused
-        fields = [f.strip() for f in comp.split(",")]
-        parts = tuple(int(f) if f.isdecimal() else 0 for f in fields)
+        bad = ValueError("--mu %r: component %r is not a partition" % (text, comp))
+        try:
+            parts = tuple(int(f) for f in comp.split(","))
+        except ValueError:
+            raise bad from None
         if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
-            raise ValueError("--mu %r: component %r is not a partition" % (text, comp))
+            raise bad
         out.append(parts)
     return tuple(out)
 

@@ -144,9 +144,9 @@ def test_perturbed_gram_block_breaks_contravariance(monkeypatch, perturb):
         g.rows[0][1] = (k + 1, X)
     else:
         g.rows[0][1] = (k, [[x + 1 for x in row] for row in X])
-    assert gr.contravariance_check(mu, l, n, trials=4, seed=1)
+    assert gr.contravariance_check(mu, l, n, trials=8, seed=1)
     monkeypatch.setattr(gr, "gram_matrix", lambda *args: g)
-    assert not gr.contravariance_check(mu, l, n, trials=4, seed=1)
+    assert not gr.contravariance_check(mu, l, n, trials=8, seed=1)
 
 
 def test_dropped_map_entry_fails_span_closure(monkeypatch):

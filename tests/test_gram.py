@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from tonalg.algebra import Element
 from tonalg.cli import main
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import bareiss_det, fraction_rank
-from tonalg.standard_modules import all_labels, standard_module
+from tonalg.standard_modules import all_labels, generator_diagrams, standard_module
 
 from oracles import ordered_pair_gram, poly_mat, poly_mat_eq, poly_mat_mul, poly_mat_transpose
 
@@ -299,27 +300,33 @@ def test_top_layer_check():
 def test_contravariance_generators_and_random():
     for l, n, mu in [(2, 3, ((1,), ())), (2, 3, ((1,), (1,))), (2, 4, ((2,), ())),
                      (3, 3, ((1,), (1,), ()))]:
-        assert gr.contravariance_check(mu, l, n, trials=6, seed=5)
+        assert gr.contravariance_check(mu, l, n, trials=12, seed=5)
 
 
 def test_contravariance_draws_its_elements_once_per_seed():
-    # the labels at (l, n) share one draw of at most `trials` distinct
-    # words, and a fresh draw from the same seed gives the same words
-    l, n, trials, seed = 2, 4, 3, 7
+    # the labels at (l, n) share one draw; its diagrams are the products of
+    # `trials` words of one to three generators or identities, drawn in
+    # order from random.Random(seed)
+    l, n, trials, seed = 2, 4, 6, 7
     gr._random_supports.cache_clear()
     assert all(gr.contravariance_check(mu, l, n, trials, seed) for mu in all_labels(l, n))
     assert gr._random_supports.cache_info().misses == 1
+    rng = random.Random(seed)
+    gens = list(generator_diagrams(l, n).values()) + [dg.identity(n)]
+    want = {}
+    for _ in range(trials):
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 3))]
+        want[reduce(lambda a, b: dg.compose(a, b)[1], word)] = None
     drawn = gr._random_supports(l, n, trials, seed)
-    assert 1 <= len(drawn) <= trials
-    assert drawn == gr._random_supports.__wrapped__(l, n, trials, seed)
+    assert [d for d, _ in drawn] == list(want)
     assert all(fd == dg.flip(d) for d, fd in drawn)
 
 
 def test_contravariance_with_noninvolutive_matchings():
     # three slots in one class: the sandwich matching can have order 3, which
     # pins the orientation of the permutation acting on the tableau factor
-    assert gr.contravariance_check(((2, 1),), 1, 4, trials=6, seed=104)
-    assert gr.contravariance_check(((2, 1), (1,)), 2, 5, trials=3, seed=9)
+    assert gr.contravariance_check(((2, 1),), 1, 4, trials=12, seed=104)
+    assert gr.contravariance_check(((2, 1), (1,)), 2, 5, trials=6, seed=9)
     # explicit generator instances
     mod = standard_module(((1,), ()), 2, 3)
     G = gr.gram_matrix(((1,), ()), 2, 3).dense()
