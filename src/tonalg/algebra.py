@@ -1,113 +1,14 @@
-"""The free Z[delta]-module on l-tone diagrams with bilinear multiplication.
+"""The l-tone diagram basis and its corners.
 
-An Element is a formal sum of diagrams of a common shape (n, m), all l-tone,
-with DeltaPoly coefficients.  Multiplication distributes the category
-composition over the term maps, folding each closed-middle-component count
-into a power of delta.
+Bases come from one pruned walk over the set partitions with l-tone blocks;
+the corner e*A*e of a diagram e is spanned by `sandwich_middles`.  A product
+of diagrams is one `diagram.compose`, delta^k times a diagram; over Z[delta]
+products act on standard modules as monomial blocks (`standard_modules`).
 """
 
 from functools import lru_cache
 
-from .deltapoly import DeltaPoly
 from . import diagram as dg
-
-
-class Element:
-    """Formal Z[delta]-linear combination of l-tone diagrams of shape (n, m)."""
-
-    __slots__ = ("l", "n", "m", "terms")
-
-    def __init__(self, l, n, m, terms=None):
-        self.l = l
-        self.n = n
-        self.m = m
-        self.terms = {}
-        if terms:
-            for d, p in terms.items():
-                if not p.is_zero():
-                    self.terms[d] = p
-
-    @staticmethod
-    def from_diagram(d, l, poly=None):
-        if not dg.is_l_tone(d, l):
-            raise dg.DiagramError("diagram is not %d-tone" % l)
-        poly = DeltaPoly.one() if poly is None else poly
-        return Element(l, d.n, d.m, {d: poly})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and (self.l, self.n, self.m) == (other.l, other.n, other.m)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.l, self.n, self.m, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        self._check_shape(other)
-        terms = dict(self.terms)
-        for d, p in other.terms.items():
-            q = terms.get(d, DeltaPoly.zero()) + p
-            if q.is_zero():
-                terms.pop(d, None)
-            else:
-                terms[d] = q
-        return Element(self.l, self.n, self.m, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, poly):
-        if isinstance(poly, int):
-            poly = DeltaPoly.const(poly)
-        return Element(
-            self.l, self.n, self.m, {d: p * poly for d, p in self.terms.items()}
-        )
-
-    def _check_shape(self, other):
-        if self.l != other.l:
-            raise dg.DiagramError("tone mismatch: l=%d vs l=%d" % (self.l, other.l))
-        if (self.n, self.m) != (other.n, other.m):
-            raise dg.DiagramError(
-                "shape mismatch: (%d,%d) vs (%d,%d)" % (self.n, self.m, other.n, other.m)
-            )
-
-    def __mul__(self, other):
-        if self.l != other.l:
-            raise dg.DiagramError("tone mismatch")
-        if self.m != other.n:
-            raise dg.DiagramError(
-                "arity mismatch: (%d,%d) * (%d,%d)" % (self.n, self.m, other.n, other.m)
-            )
-        out = {}
-        for da, pa in self.terms.items():
-            for db, pb in other.terms.items():
-                k, d = dg.compose(da, db)
-                q = out.get(d, DeltaPoly.zero()) + (pa * pb).shift(k)
-                if q.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = q
-        return Element(self.l, self.n, other.m, out)
-
-    def op(self):
-        """Flip anti-automorphism extended linearly: (xy)^op = y^op x^op."""
-        return Element(
-            self.l, self.m, self.n, {dg.flip(d): p for d, p in self.terms.items()}
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "Element(0; l=%d, shape=(%d,%d))" % (self.l, self.n, self.m)
-        bits = [
-            "(%s)*%s" % (p, dg.serialize(d))
-            for d, p in sorted(self.terms.items(), key=lambda kv: kv[0])
-        ]
-        return "Element(%s)" % " + ".join(bits)
 
 
 def _tone_walk(charges, l, piece, head):
@@ -310,20 +211,3 @@ def enumerate_basis(l, n, m):
     """All l-tone diagrams of shape (n, m), in canonical order."""
     return tuple(dg.Diagram(n, m, b) for b in basis_blocks(l, n, m))
 
-
-def reduce_mod_below(x, mvec):
-    """Project a square Element into the quotient by the span of diagrams
-    whose propagating vector is strictly below mvec in the index poset."""
-    from . import gamma
-
-    if x.n != x.m:
-        raise dg.DiagramError("reduce_mod_below needs a square element")
-    if dg.gamma_member(mvec, x.l, x.n) is None:
-        raise dg.DiagramError("%r is not a valid vector" % (mvec,))
-    terms = {}
-    for d, p in x.terms.items():
-        v = dg.prop_vector(d, x.l)
-        if gamma.poset_lt(v, mvec, x.l):
-            continue
-        terms[d] = p
-    return Element(x.l, x.n, x.m, terms)

@@ -79,9 +79,17 @@ def _json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _parse_diagram(flag, text):
+    """dg.parse(text); a DiagramError names the flag and the text."""
+    try:
+        return dg.parse(text)
+    except dg.DiagramError as exc:
+        raise dg.DiagramError("%s %r: %s" % (flag, text, exc)) from None
+
+
 def cmd_compose(args):
-    p = dg.parse(args.p)
-    q = dg.parse(args.q)
+    p = _parse_diagram("--p", args.p)
+    q = _parse_diagram("--q", args.q)
     k, d = dg.compose(p, q)
     _emit(args, _json({"delta_exponent": k, "diagram": dg.serialize(d)}))
     return 0

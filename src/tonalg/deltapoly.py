@@ -33,19 +33,8 @@ class DeltaPoly:
         return DeltaPoly({0: v})
 
     @staticmethod
-    def one():
-        return DeltaPoly({0: 1})
-
-    @staticmethod
     def delta(exp=1, coeff=1):
         return DeltaPoly({exp: coeff})
-
-    def is_zero(self):
-        return not self.c
-
-    def degree(self):
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.c) if self.c else -1
 
     def __bool__(self):
         return bool(self.c)
@@ -56,7 +45,8 @@ class DeltaPoly:
         return isinstance(other, DeltaPoly) and self.c == other.c
 
     def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
+        # a constant equals its int, so it hashes as that int
+        return hash(self.c.get(0, 0) if self.c.keys() <= {0} else frozenset(self.c.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -105,12 +95,6 @@ class DeltaPoly:
         return out
 
     __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by delta^k."""
-        out = DeltaPoly()
-        out.c = {e + k: v for e, v in self.c.items()}
-        return out
 
     def evaluate(self, x):
         """Evaluate at an exact point x (int or Fraction)."""

@@ -65,14 +65,14 @@ def _canonical(blocks):
 def _coerce_vertex(v, n, m):
     if isinstance(v, int):
         code = v
-    elif isinstance(v, str) and len(v) >= 2 and v[0] in "TB":
+    elif isinstance(v, str) and v[:1] in ("T", "B") and v[1:].isdecimal():
         idx = int(v[1:])
         code = idx - 1 if v[0] == "T" else n + idx - 1
         if v[0] == "T" and not 1 <= idx <= n:
             raise DiagramError("top index out of range: %s" % v)
         if v[0] == "B" and not 1 <= idx <= m:
             raise DiagramError("bottom index out of range: %s" % v)
-    elif isinstance(v, tuple) and len(v) == 2 and v[0] in ("T", "B"):
+    elif isinstance(v, tuple) and len(v) == 2 and v[0] in ("T", "B") and isinstance(v[1], int):
         return _coerce_vertex("%s%d" % v, n, m)
     else:
         raise DiagramError("cannot interpret vertex %r" % (v,))
@@ -86,8 +86,8 @@ def make_diagram(n, m, blocks):
     partition of all n+m vertices.
 
     Vertices may be given as coded ints, "Ti"/"Bj" strings, or ("T", i)
-    pairs.  Raises DiagramError naming the offending vertex on overlap or
-    gap.
+    pairs.  Raises DiagramError naming the offending vertex when it cannot
+    be read, on overlap or on gap.
     """
     seen = {}
     coded = []
@@ -126,7 +126,7 @@ def parse(text):
     head, _, body = text.partition("|")
     n_s, comma, m_s = head.partition(",")
     if not (comma and n_s.isdecimal() and m_s.isdecimal()):
-        raise DiagramError("diagram %r: head must be two nonnegative integers n,m" % text)
+        raise DiagramError("head %r must be two nonnegative integers n,m" % head)
     n, m = int(n_s), int(m_s)
     blocks = []
     if body:

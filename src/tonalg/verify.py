@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import diagram as dg
 from . import gamma
-from .algebra import Element, corner_iso_check, enumerate_basis, reduce_mod_below
+from .algebra import corner_iso_check, enumerate_basis
 from .exactla import identity_matrix
 from .standard_modules import (
     standard_module,
@@ -263,11 +263,14 @@ def check_fusion_corner(l, n):
 
 
 def check_reduction_idempotent(l, n):
-    for m in gamma.gamma_set(l, n):
-        x = Element.from_diagram(dg.a_m(m, l, n), l)
-        if reduce_mod_below(x, m) != x:
-            return False
-    return True
+    """Does every a_m survive reduction modulo the span of the diagrams with
+    vector strictly below m?  The reduction keeps a diagram exactly when its
+    prop_vector is not strictly below m; prop_vector raises DiagramError on
+    a diagram that is not l-tone."""
+    return all(
+        not gamma.poset_lt(dg.prop_vector(dg.a_m(m, l, n), l), m, l)
+        for m in gamma.gamma_set(l, n)
+    )
 
 
 CHECKS = [

@@ -128,18 +128,6 @@ def w_sigma(sigma, mvec, l, n):
     return polar_recompose(layout(mvec, l, n), sigma, layout(mvec, l, n), l, n)
 
 
-def left_ideal_reduce(x, mvec):
-    """Reduce an Element supported on the left ideal: drop the terms whose
-    vector falls strictly below mvec, and express every survivor uniquely
-    as (coefficient, profile, sigma)."""
-    out = []
-    for d, p in sorted(x.terms.items(), key=lambda kv: kv[0]):
-        res = decompose_left_term(d, mvec, x.l, x.n)
-        if res is not None:
-            out.append((p, *res))
-    return out
-
-
 def plain_compose(p, q):
     """p * q by a breadth-first search over the vertices of the stacked
     picture: p's tops, the shared middle row, then q's bottoms, each
@@ -200,9 +188,9 @@ def poly_mat_mul(A, B):
     for i in range(rows):
         for t in range(inner):
             a = A[i][t]
-            if not a.is_zero():
+            if a:
                 for j in range(cols):
-                    if not B[t][j].is_zero():
+                    if B[t][j]:
                         out[i][j] = out[i][j] + a * B[t][j]
     return out
 

@@ -73,7 +73,7 @@ def test_criterion_05_gram_nondegeneracy():
             for mu in all_labels(l, n):
                 g = gram_matrix(mu, l, n)
                 rank, det = bareiss_det(g.dense())
-                if det.is_zero() or rank != g.dim:
+                if not det or rank != g.dim:
                     ok = False
     report(5, ok, "Gram determinants are nonzero polynomials")
 

@@ -53,7 +53,9 @@ def test_malformed_diagram_head_is_named(capsys, argv, text):
     code = main(["compose"] + argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: diagram %r: head must be two nonnegative integers n,m\n" % text
+    head = text.partition("|")[0]
+    message = "--p %r: head %r must be two nonnegative integers n,m" % (text, head)
+    assert captured.err == "error: %s\n" % message
 
 
 def test_basis(capsys):
@@ -251,6 +253,10 @@ GRAM_23 = ["gram", "--l", "2", "--n", "3"]
     (GRAM_23 + ["--mu", "1|-", "--at", "5/"], AT_ERROR % "5/"),
     (GRAM_23 + ["--mu", "x|-"], "--mu 'x|-': component 'x' is not a partition"),
     (GRAM_23 + ["--mu", "1,|-"], "--mu '1,|-': component '1,' is not a partition"),
+    (["compose", "--p", "2,2|T1,Tx;T2,B1,B2", "--q", "2,2|T1,B1;T2,B2"],
+     "--p '2,2|T1,Tx;T2,B1,B2': cannot interpret vertex 'Tx'"),
+    (["compose", "--p", "2,2|T1,B1;T2,B2", "--q", "2,2|T1,B1;T2,B9"],
+     "--q '2,2|T1,B1;T2,B9': bottom index out of range: B9"),
 ])
 def test_bad_point_or_label_is_named(capsys, argv, message):
     code = main(argv)
@@ -268,8 +274,8 @@ if argv:
     assert main(argv) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "tonalg")))
 """
-BASIS_MODULES = {"cli", "diagram", "algebra", "deltapoly"}
-GRAM_MODULES = BASIS_MODULES | {"exactla", "gamma", "gram", "standard_modules", "symmetric"}
+BASIS_MODULES = {"cli", "diagram", "algebra"}
+GRAM_MODULES = BASIS_MODULES | {"deltapoly", "exactla", "gamma", "gram", "standard_modules", "symmetric"}
 
 
 @pytest.mark.parametrize("argv, loaded", [

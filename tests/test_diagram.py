@@ -27,6 +27,13 @@ def test_make_diagram_errors_name_vertex():
         dg.make_diagram(1, 1, [["T1", "B1", "B2"]])
 
 
+@pytest.mark.parametrize("vertex", ["Tx", ("T", "x"), "B1.5"])
+def test_unreadable_vertex_is_named(vertex):
+    with pytest.raises(dg.DiagramError) as exc:
+        dg.make_diagram(2, 2, [["T1", vertex], ["T2", "B1", "B2"]])
+    assert str(exc.value) == "cannot interpret vertex %r" % (vertex,)
+
+
 def test_compose_identity():
     one = dg.identity(3)
     assert dg.compose(one, one) == (0, one)

@@ -4,13 +4,12 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
-from tonalg.algebra import Element, corner_iso_check, enumerate_basis, sandwich_middles
+from tonalg.algebra import corner_iso_check, enumerate_basis, sandwich_middles
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import identity_matrix
 from tonalg import standard_modules as sm
 
 from oracles import (
-    left_ideal_reduce,
     plain_polar_decompose,
     plain_transversal,
     poly_mat,
@@ -95,31 +94,26 @@ def test_polar_recovers_matching_diagrams():
             assert mv == m and s == sig
 
 
-def test_left_ideal_reduce_canonical():
+def test_decompose_left_term_canonical():
     l, n, m = 2, 4, (2, 0)
-    x = Element.from_diagram(dg.a_m(m, l, n), l)
-    out = left_ideal_reduce(x, m)
-    assert len(out) == 1
-    poly, prof, sigma = out[0]
-    assert poly == DeltaPoly.one()
+    prof, sigma = sm.decompose_left_term(dg.a_m(m, l, n), m, l, n)
     assert sigma == ((0, 1), ())
     assert prof in sm.transversal(m, l, n)
 
 
-def test_left_ideal_reduce_joiner_absorbs():
+def test_decompose_left_term_joiner_absorbs():
     l, n, m = 2, 2, (0, 1)
     t = sm.transversal_diagrams(m, l, n)[0]
-    x = Element.from_diagram(dg.A(1, 2, n), l) * Element.from_diagram(t, l)
-    out = left_ideal_reduce(x, m)
-    assert len(out) == 1
+    _, d = dg.compose(dg.A(1, 2, n), t)
+    assert sm.decompose_left_term(d, m, l, n) is not None
 
 
-def test_left_ideal_reduce_cut_kills_full_vector():
+def test_decompose_left_term_cut_kills_full_vector():
     # the cut element annihilates any fully propagating layout
     l, n, m = 2, 4, (2, 1)
     for t in sm.transversal_diagrams(m, l, n):
-        x = Element.from_diagram(dg.W(l, n), l) * Element.from_diagram(t, l)
-        assert left_ideal_reduce(x, m) == []
+        _, d = dg.compose(dg.W(l, n), t)
+        assert sm.decompose_left_term(d, m, l, n) is None
 
 
 def test_decompose_never_sees_incomparable():

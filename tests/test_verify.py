@@ -139,6 +139,17 @@ def test_lower_ideal_product_fails_when_a_m_keeps_the_vector(monkeypatch):
     assert not verify.check_lower_ideal_product(2, 4)
 
 
+@pytest.mark.parametrize("l, n", [(1, 3), (2, 4), (3, 6)])
+def test_reduction_idempotent_fails_when_a_m_drops_below(monkeypatch, l, n):
+    # the top vector (n, 0, ..., 0) gets the cut element W(l, n), whose
+    # vector (n-l, 0, ..., 0) lies strictly below it
+    assert verify.check_reduction_idempotent(l, n)
+    top = tuple([n] + [0] * (l - 1))
+    a_m = dg.a_m
+    monkeypatch.setattr(verify.dg, "a_m", lambda m, l, n: dg.W(l, n) if m == top else a_m(m, l, n))
+    assert not verify.check_reduction_idempotent(l, n)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no
     process and maps in this one."""
