@@ -9,7 +9,6 @@ from tonalg.gram import (
     gram_matrix,
     gram_summary,
     is_semisimple_at,
-    rank_at,
 )
 
 print("== the 4x4 Gram matrix of the module ((1),-) at l=2, n=3 ==")
@@ -23,8 +22,8 @@ print("generic rank:", rank, "of", g.dim)
 
 print()
 print("== specialization at delta = 1 ==")
-print("rank of ((1),-):", rank_at(((1,), ()), 2, 3, 1), " (drops: 4 = 1 + 3)")
-print("rank of ((1),(1)):", rank_at(((1,), (1,)), 2, 3, 1), " (stays full)")
+print("rank of ((1),-):", gram_matrix(((1,), ()), 2, 3).rank_at(1), " (drops: 4 = 1 + 3)")
+print("rank of ((1),(1)):", gram_matrix(((1,), (1,)), 2, 3).rank_at(1), " (stays full)")
 
 print()
 print("== nondegeneracy certified by exact rank at delta = %d ==" % GENERIC_POINT)

@@ -1,7 +1,7 @@
 """Restriction along the tower: filtration labels, first-vertex basis
 classification, and the layered restriction graph."""
 
-from tonalg.branching import bratteli, classify_basis, leak_check, restrict_rule
+from tonalg.branching import BratteliGraph, classify_basis, leak_check, restrict_rule
 from tonalg.standard_modules import standard_dim
 
 print("== restricting the 10-dimensional module ((2),-) from n=4 to n=3 ==")
@@ -19,7 +19,7 @@ print("dimension identity: 7 = 4 + 3")
 
 print()
 print("== first-vertex classification of the basis of ((1),-) at n=3 ==")
-counts, _ = classify_basis(((1,), ()), 2, 3)
+counts = classify_basis(((1,), ()), 2, 3)
 print(counts)
 # a filtration, not a direct sum: the included subalgebra does not keep the
 # enlarged class apart from the propagating singletons
@@ -27,4 +27,4 @@ print("enlarged class leaks into the propagating singletons:", leak_check(((1,),
 
 print()
 print("== restriction graph up to n=3 (DOT) ==")
-print(bratteli(2, 3).to_dot())
+print(BratteliGraph(2, 3).to_dot())

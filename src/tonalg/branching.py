@@ -110,15 +110,13 @@ def restriction(lam, l, nplus1):
 
 
 def classify_basis(lam, l, nplus1):
-    """Cardinalities of the first-vertex classes of the module basis.
-
-    Returns (counts, profile_classes) where counts maps each class to the
-    number of basis elements in it (profiles times the tableau factor).
-    """
+    """Cardinalities of the first-vertex classes of the module basis: maps
+    each class to the number of basis elements in it (profiles times the
+    tableau factor)."""
     table = restriction(tuple(tuple(x) for x in lam), l, nplus1)
     counts = Counter(table.classes)
     keys = [1] + list(range(2, l + 1)) + ["lp", 0]
-    return {k: counts[k] * table.module.rep.dim for k in keys}, list(table.classes)
+    return {k: counts[k] * table.module.rep.dim for k in keys}
 
 
 def classified_dim_checks(lam, l, nplus1):
@@ -136,7 +134,7 @@ def classified_dim_checks(lam, l, nplus1):
     submodule_closure_check's A_closed.
     """
     lam = tuple(tuple(x) for x in lam)
-    counts, _ = classify_basis(lam, l, nplus1)
+    counts = classify_basis(lam, l, nplus1)
     checks = {
         c: sum(standard_dim(mu, l, nplus1 - 1) for mu in labels)
         for c, labels in restriction(lam, l, nplus1).labels.items()
@@ -244,6 +242,3 @@ class BratteliGraph:
             ],
         }
 
-
-def bratteli(l, n_max):
-    return BratteliGraph(l, n_max)

@@ -17,10 +17,11 @@ from fractions import Fraction
 from . import diagram as dg
 
 
-def parse_mu(text, l):
+def parse_mu(text, l, n):
     """Multipartition syntax: components separated by |, parts by commas,
     empty component written as - (e.g. "2,1|1").  ValueError naming --mu
-    and the text unless it is one."""
+    and the text unless it is one whose vector is in the index set at
+    (l, n)."""
     comps = text.split("|")
     if len(comps) != l:
         raise ValueError("--mu %r: expected %d components separated by |" % (text, l))
@@ -40,6 +41,11 @@ def parse_mu(text, l):
         if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
             raise bad
         out.append(parts)
+    mvec = tuple(sum(parts) for parts in out)
+    if dg.gamma_member(mvec, l, n) is None:
+        raise ValueError(
+            "--mu %r: vector %r is not in the index set for l=%d, n=%d" % (text, mvec, l, n)
+        )
     return tuple(out)
 
 
@@ -125,7 +131,7 @@ def cmd_gamma(args):
 def cmd_module(args):
     from .standard_modules import standard_module, generator_diagrams
 
-    mu = parse_mu(args.mu, args.l)
+    mu = parse_mu(args.mu, args.l, args.n)
     mod = standard_module(mu, args.l, args.n)
     out = {
         "mu": [list(x) for x in mod.mu],
@@ -148,16 +154,16 @@ def cmd_module(args):
 def cmd_gram(args):
     from .gram import gram_report
 
-    mu = parse_mu(args.mu, args.l)
+    mu = parse_mu(args.mu, args.l, args.n)
     rep = gram_report(mu, args.l, args.n, point=args.at, want_det=args.det)
     _emit(args, _json(rep))
     return 0
 
 
 def cmd_bratteli(args):
-    from .branching import bratteli
+    from .branching import BratteliGraph
 
-    graph = bratteli(args.l, args.n_max)
+    graph = BratteliGraph(args.l, args.n_max)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph.to_dot() + "\n")

@@ -72,8 +72,6 @@ def _coerce_vertex(v, n, m):
             raise DiagramError("top index out of range: %s" % v)
         if v[0] == "B" and not 1 <= idx <= m:
             raise DiagramError("bottom index out of range: %s" % v)
-    elif isinstance(v, tuple) and len(v) == 2 and v[0] in ("T", "B") and isinstance(v[1], int):
-        return _coerce_vertex("%s%d" % v, n, m)
     else:
         raise DiagramError("cannot interpret vertex %r" % (v,))
     if not 0 <= code < n + m:
@@ -85,9 +83,9 @@ def make_diagram(n, m, blocks):
     """Build a Diagram of shape (n, m), validating that the blocks are a
     partition of all n+m vertices.
 
-    Vertices may be given as coded ints, "Ti"/"Bj" strings, or ("T", i)
-    pairs.  Raises DiagramError naming the offending vertex when it cannot
-    be read, on overlap or on gap.
+    Vertices may be given as coded ints or "Ti"/"Bj" strings.  Raises
+    DiagramError naming the offending vertex when it cannot be read, on
+    overlap or on gap.
     """
     seen = {}
     coded = []

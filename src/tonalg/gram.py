@@ -85,11 +85,6 @@ def gram_matrix(mu, l, n):
     return GramMatrix(mu, l, n)
 
 
-def rank_at(mu, l, n, point):
-    """Rank of the Gram matrix at an exact evaluation point (Fraction/int)."""
-    return gram_matrix(mu, l, n).rank_at(point)
-
-
 # An exact evaluation point away from the small integers, where the Gram
 # forms degenerate.
 GENERIC_POINT = 10 ** 6 + 3
@@ -107,9 +102,7 @@ def point_and_generic_rank(g):
 
 @lru_cache(maxsize=None)
 def gram_summary(l, n):
-    """One GramSummary per label at (l, n).  The cache, like gram_matrix's,
-    lives within one process: each of verify's worker processes builds its
-    own."""
+    """One GramSummary per label at (l, n), cached like gram_matrix."""
     out = []
     for mu in all_labels(l, n):
         g = gram_matrix(mu, l, n)

@@ -5,7 +5,6 @@ battery over a range of n and reports one pass/fail line per check instance.
 Checks are sized so the battery stays interactive at desk scale.
 """
 
-import os
 import random
 from collections import namedtuple
 
@@ -314,33 +313,11 @@ def _run_one(job):
         return CheckResult(name, params, False, "%s: %s" % (type(exc).__name__, exc))
 
 
-def thread_count():
-    """TONALG_THREADS (default 1); ValueError unless a positive integer."""
-    text = os.environ.get("TONALG_THREADS", "1")
-    if not (text.isdecimal() and int(text) > 0):
-        raise ValueError("TONALG_THREADS must be a positive integer, got %r" % text)
-    return int(text)
-
-
 def run_verify(l, n_max, names=None):
     """Evaluate the battery for the given l over n = 0..n_max.
 
-    Returns a list of CheckResult in deterministic order; jobs fan out
-    across min(TONALG_THREADS, number of jobs) processes when that is above
-    1, and only then is the process pool (and with it multiprocessing)
-    imported.  The pool forks all its workers at the first submit, so the
-    cap keeps it from forking workers that get no job.
+    Returns one CheckResult per (n, check), n the outer loop, all computed
+    in this process so that the checks share its caches.
     """
     names = CHECK_NAMES if names is None else names
-    jobs = []
-    for n in range(0, n_max + 1):
-        for name in names:
-            jobs.append((name, l, n))
-    workers = min(thread_count(), len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_one, jobs))
-    else:
-        results = [_run_one(j) for j in jobs]
-    return results
+    return [_run_one((name, l, n)) for n in range(n_max + 1) for name in names]

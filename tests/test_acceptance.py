@@ -15,7 +15,7 @@ from tonalg.branching import (
     leak_check,
 )
 from tonalg.exactla import bareiss_det
-from tonalg.gram import GENERIC_POINT, gram_matrix, gram_summary, rank_at
+from tonalg.gram import GENERIC_POINT, gram_matrix, gram_summary
 from tonalg.standard_modules import (
     all_labels,
     standard_dim,
@@ -89,8 +89,8 @@ def test_criterion_06_generic_semisimplicity():
 
 
 def test_criterion_07_modular_instance():
-    r1 = rank_at(((1,), ()), 2, 3, 1)
-    r2 = rank_at(((1,), (1,)), 2, 3, 1)
+    r1 = gram_matrix(((1,), ()), 2, 3).rank_at(1)
+    r2 = gram_matrix(((1,), (1,)), 2, 3).rank_at(1)
     dim1 = gram_matrix(((1,), ()), 2, 3).dim
     dim2 = gram_matrix(((1,), (1,)), 2, 3).dim
     ok = r1 == 1 and r2 == 3 and dim2 == 3 and dim1 == r1 + dim2

@@ -60,16 +60,16 @@ def test_restrict_rule_bad_label():
 
 
 def test_classification_worked_examples():
-    counts, _ = br.classify_basis(((1,), ()), 2, 3)
+    counts = br.classify_basis(((1,), ()), 2, 3)
     assert counts == {1: 1, 2: 0, "lp": 1, 0: 2}
-    counts2, _ = br.classify_basis(((1,), (1,)), 2, 3)
+    counts2 = br.classify_basis(((1,), (1,)), 2, 3)
     assert counts2 == {1: 1, 2: 2, "lp": 0, 0: 0}
 
 
 def test_classification_sums_to_dim():
     for l, nplus1 in [(2, 3), (2, 4), (3, 4), (1, 3)]:
         for lam in all_labels(l, nplus1):
-            counts, _ = br.classify_basis(lam, l, nplus1)
+            counts = br.classify_basis(lam, l, nplus1)
             assert sum(counts.values()) == standard_dim(lam, l, nplus1)
 
 
@@ -185,7 +185,7 @@ def test_restriction_matches_frozen_values():
             *counts, bits = row.split()
             keys = [1] + list(range(2, l + 1)) + ["lp", 0]
             want = dict(zip(keys, map(int, counts)))
-            assert br.classify_basis(lam, l, nplus1)[0] == want, (l, nplus1, lam)
+            assert br.classify_basis(lam, l, nplus1) == want, (l, nplus1, lam)
             assert br.classified_dim_checks(lam, l, nplus1) == (True, want, want), (l, nplus1, lam)
             rep = br.submodule_closure_check(lam, l, nplus1)
             got = [rep["B1_closed"], rep["B12_closed"], rep["A_closed"], br.leak_check(lam, l, nplus1)]
@@ -237,7 +237,6 @@ def _module_dim_off_by_one(monkeypatch):
 def test_branching_dimensions_can_fail(monkeypatch, capsys, fresh_restriction, mutate):
     from tonalg.cli import main
 
-    monkeypatch.delenv("TONALG_THREADS", raising=False)
     args = ["verify", "--l", "2", "--n-max", "4", "--only", "branching-dimensions"]
     assert main(args) == 0
     capsys.readouterr()
@@ -248,7 +247,7 @@ def test_branching_dimensions_can_fail(monkeypatch, capsys, fresh_restriction, m
 
 
 def test_bratteli_graph():
-    g = br.bratteli(2, 4)
+    g = br.BratteliGraph(2, 4)
     assert len(g.layers) == 5
     # layer dims: sum of squares equals the algebra dimension at each level
     for n, layer in enumerate(g.layers):
@@ -260,7 +259,7 @@ def test_bratteli_graph():
 
 
 def test_bratteli_exports():
-    g = br.bratteli(2, 2)
+    g = br.BratteliGraph(2, 2)
     dot = g.to_dot()
     assert dot.startswith("digraph") and "(4)" not in dot  # dims here are 1,1,1,1
     csv = g.to_csv()

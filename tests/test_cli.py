@@ -22,13 +22,13 @@ def run_cli(capsys, argv):
 
 
 def test_parse_mu():
-    assert parse_mu("2,1|1", 2) == ((2, 1), (1,))
-    assert parse_mu("2|-", 2) == ((2,), ())
-    assert parse_mu("-|-|3", 3) == ((), (), (3,))
+    assert parse_mu("2,1|1", 2, 5) == ((2, 1), (1,))
+    assert parse_mu("2|-", 2, 4) == ((2,), ())
+    assert parse_mu("-|-|3", 3, 9) == ((), (), (3,))
     with pytest.raises(ValueError):
-        parse_mu("2|1|1", 2)
+        parse_mu("2|1|1", 2, 4)
     with pytest.raises(ValueError):
-        parse_mu("1,2|-", 2)
+        parse_mu("1,2|-", 2, 3)
 
 
 def test_parse_rational():
@@ -257,6 +257,9 @@ GRAM_23 = ["gram", "--l", "2", "--n", "3"]
      "--p '2,2|T1,Tx;T2,B1,B2': cannot interpret vertex 'Tx'"),
     (["compose", "--p", "2,2|T1,B1;T2,B2", "--q", "2,2|T1,B1;T2,B9"],
      "--q '2,2|T1,B1;T2,B9': bottom index out of range: B9"),
+    (GRAM_23 + ["--mu=2|-"], "--mu '2|-': vector (2, 0) is not in the index set for l=2, n=3"),
+    (["module", "--l", "2", "--n", "3", "--mu=-|2"],
+     "--mu '-|2': vector (0, 2) is not in the index set for l=2, n=3"),
 ])
 def test_bad_point_or_label_is_named(capsys, argv, message):
     code = main(argv)
@@ -302,6 +305,24 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["compose", "--p", "1,1|T1,B1", "--q", "2,2|T1,T2,B1,B2"]) == 2
 
 
+def test_verify_runs_in_order_and_ignores_tonalg_threads(capsys, monkeypatch):
+    from tonalg.verify import run_verify
+
+    names = ["sum-of-squares", "index-set-split"]
+    results = run_verify(2, 1, names)
+    assert [(r.name, r.params) for r in results] == [
+        (name, "l=2,n=%d" % n) for n in range(2) for name in names
+    ]
+    assert all(r.ok and r.error is None for r in results)
+    # verify reads no environment variable: this one, set or malformed, changes nothing
+    monkeypatch.delenv("TONALG_THREADS", raising=False)
+    runs = [run_cli(capsys, ["verify", "--l", "2", "--n-max", "1"])]
+    for threads in ("2", "abc"):
+        monkeypatch.setenv("TONALG_THREADS", threads)
+        runs.append(run_cli(capsys, ["verify", "--l", "2", "--n-max", "1"]))
+    assert runs[0][0] == 0 and runs == [runs[0]] * 3
+
+
 def test_output_determinism(capsys):
     _, out1 = run_cli(capsys, ["gamma", "--l", "3", "--n", "6"])
     _, out2 = run_cli(capsys, ["gamma", "--l", "3", "--n", "6"])
@@ -309,24 +330,6 @@ def test_output_determinism(capsys):
     _, g1 = run_cli(capsys, ["gram", "--l", "2", "--n", "4", "--mu=-|1", "--det"])
     _, g2 = run_cli(capsys, ["gram", "--l", "2", "--n", "4", "--mu=-|1", "--det"])
     assert g1 == g2
-
-
-def test_threaded_verify_matches_serial():
-    env = dict(os.environ, TONALG_THREADS="2")
-    cmd = [sys.executable, "-m", "tonalg.cli", "verify", "--l", "2", "--n-max", "1"]
-    r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    r2 = subprocess.run(cmd, capture_output=True, text=True)
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert r1.stdout == r2.stdout
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-1", "", "1.5"])
-def test_verify_refuses_bad_thread_count(capsys, monkeypatch, threads):
-    monkeypatch.setenv("TONALG_THREADS", threads)
-    assert main(["verify", "--l", "2", "--n-max", "0", "--only", "sum-of-squares"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: TONALG_THREADS")
 
 
 @pytest.mark.parametrize("argv, read", [

@@ -272,18 +272,18 @@ def test_gram_summary_builds_each_label_once_without_elimination(monkeypatch):
     first = gr.gram_summary(2, 4)
     assert gr.gram_summary(2, 4) is first
     assert sorted(builds) == sorted((mu, 2, 4) for mu in all_labels(2, 4))
-    assert [s.rank_at for s in first] == [gr.rank_at(s.mu, 2, 4, gr.GENERIC_POINT) for s in first]
+    assert [s.rank_at for s in first] == [gr.gram_matrix(s.mu, 2, 4).rank_at(gr.GENERIC_POINT) for s in first]
 
 
 def test_modular_instance_ranks():
-    assert gr.rank_at(((1,), ()), 2, 3, 1) == 1
-    assert gr.rank_at(((1,), (1,)), 2, 3, 1) == 3
+    assert gr.gram_matrix(((1,), ()), 2, 3).rank_at(1) == 1
+    assert gr.gram_matrix(((1,), (1,)), 2, 3).rank_at(1) == 3
     # dimension accounting 4 = 1 + 3
     assert gr.gram_matrix(((1,), ()), 2, 3).dim == 1 + 3
 
 
 def test_rank_at_rational_point():
-    assert gr.rank_at(((1,), ()), 2, 3, Fraction(17, 3)) == 4
+    assert gr.gram_matrix(((1,), ()), 2, 3).rank_at(Fraction(17, 3)) == 4
 
 
 def test_semisimplicity_verdicts():
@@ -358,7 +358,7 @@ def test_sum_rank_squares_bounded_by_dim():
     from tonalg.algebra import enumerate_basis
 
     for l, n, point in [(2, 3, 1), (2, 3, 10 ** 6 + 3)]:
-        total = sum(gr.rank_at(mu, l, n, point) ** 2 for mu in all_labels(l, n))
+        total = sum(gr.gram_matrix(mu, l, n).rank_at(point) ** 2 for mu in all_labels(l, n))
         dim = len(enumerate_basis(l, n, n))
         if gr.is_semisimple_at(l, n, point):
             assert total == dim

@@ -148,45 +148,3 @@ def test_reduction_idempotent_fails_when_a_m_drops_below(monkeypatch, l, n):
     a_m = dg.a_m
     monkeypatch.setattr(verify.dg, "a_m", lambda m, l, n: dg.W(l, n) if m == top else a_m(m, l, n))
     assert not verify.check_reduction_idempotent(l, n)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in this one."""
-
-    built = []
-
-    def __init__(self, max_workers):
-        self.built.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize(
-    "threads,names,n_max,want",
-    [
-        ("4", ["sum-of-squares"], 0, []),  # one job runs in this process
-        ("4", ["sum-of-squares"], 1, [2]),  # capped at the two jobs
-        ("2", ["sum-of-squares", "index-set-split"], 1, [2]),
-        ("1", ["sum-of-squares"], 1, []),
-    ],
-)
-def test_run_verify_forks_no_more_workers_than_jobs(monkeypatch, threads, names, n_max, want):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "built", [])
-    monkeypatch.setenv("TONALG_THREADS", threads)
-    results = verify.run_verify(2, n_max, names)
-    assert _SerialPool.built == want
-    assert [(r.name, r.params) for r in results] == [
-        (name, "l=2,n=%d" % n) for n in range(n_max + 1) for name in names
-    ]
-    assert all(r.ok for r in results)
