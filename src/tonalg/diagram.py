@@ -13,11 +13,7 @@ component made of middle vertices only.
 """
 
 from bisect import bisect_left
-from collections import namedtuple
 from functools import lru_cache
-
-
-ScaledDiagram = namedtuple("ScaledDiagram", ["delta_exponent", "diagram"])
 
 
 class DiagramError(ValueError):
@@ -146,7 +142,7 @@ def compose(p, q):
     """Category composition p * q of p: (n,m) with q: (m,k).
 
     Identifies p's bottom row with q's top row, closes under connectivity,
-    and returns ScaledDiagram(e, r) where e counts the components that
+    and returns the pair (e, r) where e counts the components that
     contain middle vertices only.
 
     Union-find over the blocks of p (0..na-1) and of q (na..): each union
@@ -185,7 +181,7 @@ def compose(p, q):
     loops = {parent[la[n + i]] for i in range(mid)}.difference(groups)
     # vertices were visited in increasing order, so each group is sorted and
     # the groups run by least vertex: the blocks are already canonical
-    return ScaledDiagram(len(loops), Diagram(n, k, tuple(map(tuple, groups.values()))))
+    return len(loops), Diagram(n, k, tuple(map(tuple, groups.values())))
 
 
 def _fill_labels(d):

@@ -3,7 +3,6 @@ quotient, with desk-scale verification of the hereditary-ideal conditions:
 (pre)idempotent generators, section dimensions, and matching-group corners.
 """
 
-from functools import lru_cache
 from math import factorial, prod
 
 from . import diagram as dg
@@ -121,18 +120,12 @@ def corner_group_check(mvec, l, n):
     return generated_hom_check(gens, match, then), want
 
 
-@lru_cache(maxsize=None)
-def _profiles(d, l):
-    """(top profile, bottom profile) of d, decomposed once per diagram."""
-    top, _, bottom, _ = polar_decompose(d, l)
-    return top, bottom
-
-
 def _matching_of(q, bm, l):
     """Per-class matching of a diagram carrying the absorbing layout: its
     sigma when both its profiles are those of bm, else None."""
     top, sigma, bottom, _ = polar_decompose(q, l)
-    return sigma if (top, bottom) == _profiles(bm, l) else None
+    want_top, _, want_bottom, _ = polar_decompose(bm, l)
+    return sigma if (top, bottom) == (want_top, want_bottom) else None
 
 
 def section_checks(l, n, delta0=None):

@@ -2,16 +2,16 @@
 
 Specht modules are realised as polytabloid spans inside the tabloid
 permutation module, with the tabloid inner product as bilinear form.  The
-standard-tableau polytabloids are a Z-basis; generator matrices are solved
-over Z by forward substitution and verified.  Tableaux are encoded as row
-sequences, e.g. the shape (3,1) has standard sequences 1112, 1121, 1211.
+standard-tableau polytabloids are a Z-basis; each permutation's matrix is
+solved over Z by forward substitution and checked.  Tableaux are encoded as
+row sequences, e.g. the shape (3,1) has standard sequences 1112, 1121, 1211.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 
-from .exactla import int_mat_mul, kron, identity_matrix
+from .exactla import int_mat_mul, kron
 
 
 # ---------------------------------------------------------------------------
@@ -136,75 +136,41 @@ def perm_inverse(p):
     return tuple(out)
 
 
-def perm_word(p):
-    """Adjacent-transposition word with p = s_{w[0]} o s_{w[1]} o ... (1-based)."""
-    line = list(p)
-    rword = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(line) - 1):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                rword.append(i + 1)
-                changed = True
-    # line * s_{rword[0]} * ... = id, so p = s(last) o ... o s(first)
-    return rword[::-1]
-
-
 # ---------------------------------------------------------------------------
 # standard tableaux and tabloids
 
 
-def standard_tableaux(lam):
-    """Row sequences of the standard tableaux of shape lam, in lex order.
+def standard_tableaux(lam, tabs=None):
+    """Row sequences of the standard tableaux of shape lam, in lex order:
+    the lattice words among tabs, the tabloids of lam (built if not given).
 
     seq[j] is the (1-based) row holding entry j+1.
     """
-    k = sum(lam)
-    rows = len(lam)
-    out = []
-    fill = [0] * rows
-    seq = []
-
-    def rec(t):
-        if t == k:
-            out.append(tuple(seq))
-            return
-        for i in range(rows):
-            if fill[i] < lam[i] and (i == 0 or fill[i - 1] > fill[i]):
-                fill[i] += 1
-                seq.append(i + 1)
-                rec(t + 1)
-                seq.pop()
-                fill[i] -= 1
-
-    rec(0)
-    return out
+    return [t for t in (_tabloids(lam) if tabs is None else tabs) if _is_lattice(t)]
 
 
 def _tabloids(lam):
-    """All row assignments with the content of lam, as row-sequence tuples."""
-    k = sum(lam)
+    """All row assignments with lam[i] entries in row i+1, as row-sequence
+    tuples in lex order."""
+    if not any(lam):
+        return [()]
     out = []
-    seq = []
-    fill = [0] * len(lam)
-
-    def rec(t):
-        if t == k:
-            out.append(tuple(seq))
-            return
-        for i in range(len(lam)):
-            if fill[i] < lam[i]:
-                fill[i] += 1
-                seq.append(i + 1)
-                rec(t + 1)
-                seq.pop()
-                fill[i] -= 1
-
-    rec(0)
-    out.sort()
+    for i, c in enumerate(lam):
+        if c:
+            rest = (*lam[:i], c - 1, *lam[i + 1:])
+            out += [(i + 1,) + t for t in _tabloids(rest)]
     return out
+
+
+def _is_lattice(seq):
+    """Whether every prefix of seq holds at least as many entries in row i
+    as in row i+1, which is when the tabloid's filling is a standard tableau."""
+    fill = [0] * (max(seq, default=0) + 1)
+    for r in seq:
+        fill[r] += 1
+        if r > 1 and fill[r] > fill[r - 1]:
+            return False
+    return True
 
 
 def _tableau_columns(lam, seq):
@@ -217,80 +183,69 @@ def _tableau_columns(lam, seq):
     return cols
 
 
+def _sign(p):
+    """(-1) to the number of inversions of the sequence p."""
+    return -1 if sum(a > b for a, b in combinations(p, 2)) % 2 else 1
+
+
 def _polytabloid(lam, seq, tab_index):
-    """Tabloid-coordinate vector of the polytabloid of the tableau seq."""
-    k = sum(lam)
+    """Tabloid-coordinate vector of the polytabloid of the tableau seq: the
+    signed sum of the tabloids of its column permutations."""
     vec = [0] * len(tab_index)
-    cols = _tableau_columns(lam, seq)
-    row_of = {entry: seq[entry - 1] for entry in range(1, k + 1)}
-
-    def signed_perms(items):
-        if len(items) == 1:
-            yield 1, {items[0]: items[0]}
-            return
-        first, rest = items[0], items[1:]
-        for sgn, mp in signed_perms(rest):
-            # insert `first` into each position of the image arrangement
-            arrangement = [mp[x] for x in rest]
-            for pos in range(len(rest) + 1):
-                arr = arrangement[:pos] + [first] + arrangement[pos:]
-                s = sgn * (1 if pos % 2 == 0 else -1)
-                yield s, dict(zip(items, arr))
-
-    col_perm_pools = []
-    for col in cols:
-        col_perm_pools.append(list(signed_perms(col)))
-    for combo in product(*col_perm_pools):
+    pools = []
+    for col in _tableau_columns(lam, seq):
+        rows = [seq[x - 1] for x in col]
+        # entry p[i] takes the row of col[i]
+        pools.append([(_sign(p), p, rows) for p in permutations(col)])
+    for combo in product(*pools):
         sgn = 1
-        move = {}
-        for s, mp in combo:
+        tab = [0] * len(seq)
+        for s, p, rows in combo:
             sgn *= s
-            move.update(mp)
-        tab = tuple(row_of[move.get(x, x)] for x in range(1, k + 1))
-        vec[tab_index[tab]] += sgn
+            for x, r in zip(p, rows):
+                tab[x - 1] = r
+        vec[tab_index[tuple(tab)]] += sgn
     return vec
 
 
 class SpechtRep:
     """Exact Specht module of the symmetric group S_k for a partition.
 
-    Attributes: lam, dim, basis (standard row sequences), gens (integer
-    matrices of the adjacent transpositions s_1..s_{k-1} in the polytabloid
-    basis), form (tabloid inner-product Gram matrix, integer symmetric).
+    Attributes: lam, dim, basis (standard row sequences), form (tabloid
+    inner-product Gram matrix, integer symmetric).  matrix(perm) gives the
+    integer matrix of a permutation in the polytabloid basis.
     """
 
     def __init__(self, lam):
         self.lam = tuple(lam)
-        k = sum(lam)
-        self.k = k
-        self.basis = standard_tableaux(self.lam) if k else [()]
-        self.dim = len(self.basis)
-        tabs = _tabloids(self.lam) if k else [()]
+        self.k = sum(lam)
+        tabs = _tabloids(self.lam)
         tab_index = {t: i for i, t in enumerate(tabs)}
+        self.basis = standard_tableaux(self.lam, tabs)
+        self._pivot_rows = [tab_index[t] for t in self.basis]
+        self.dim = len(self.basis)
         E = [[0] * self.dim for _ in range(len(tabs))]
         for c, seq in enumerate(self.basis):
-            col = _polytabloid(self.lam, seq, tab_index) if k else [1]
-            for r, v in enumerate(col):
+            for r, v in enumerate(_polytabloid(self.lam, seq, tab_index)):
                 E[r][c] = v
         self._E = E
         self._tabs = tabs
         self._tab_index = tab_index
-        self._pivot_rows = [tab_index[seq] for seq in self.basis]
-        self.gens = [self._generator_matrix(i) for i in range(1, k)]
         Et = [[E[r][c] for r in range(len(tabs))] for c in range(self.dim)]
         self.form = int_mat_mul(Et, E)
 
-    def _generator_matrix(self, i):
-        """Matrix of s_i (swap entries i, i+1) on the polytabloid basis."""
-        E = self._E
-        permuted = []
-        for t in self._tabs:
-            lst = list(t)
-            lst[i - 1], lst[i] = lst[i], lst[i - 1]
-            permuted.append(self._tab_index[tuple(lst)])
-        PE = [E[0][:] for _ in range(len(E))]
-        for r in range(len(E)):
-            PE[permuted[r]] = E[r]
+    def matrix(self, perm):
+        """Matrix M of a permutation (0-based image tuple) on the polytabloid
+        basis, solved from E*M = P*E and checked.
+
+        perm sends the tabloid t to the u with u[perm[j]] = t[j], so
+        matrix(p) * matrix(q) == matrix(p o q).
+        """
+        E, index = self._E, self._tab_index
+        inv = perm_inverse(perm)
+        PE = [None] * len(E)
+        for t, row in zip(self._tabs, E):
+            PE[index[tuple([t[j] for j in inv])]] = row
         # on the rows of the standard tabloids {t}, E is lower unitriangular
         # (James, Lemma 8.3: {t} is the last tabloid of e_t in dominance,
         # which lex order extends), so E*M = PE solves by substitution
@@ -303,17 +258,8 @@ class SpechtRep:
             out.append(row)
         # exactness check: E * M == P * E
         if int_mat_mul(E, out) != PE:
-            raise ArithmeticError("Specht generator solve failed")
+            raise ArithmeticError("Specht matrix solve failed for %r" % (perm,))
         return out
-
-    def matrix(self, perm):
-        """Matrix of an arbitrary permutation (0-based image tuple)."""
-        if self.k <= 1:
-            return identity_matrix(self.dim)
-        M = identity_matrix(self.dim)
-        for a in perm_word(perm):
-            M = int_mat_mul(M, self.gens[a - 1])
-        return M
 
 
 @lru_cache(maxsize=None)
@@ -324,7 +270,7 @@ def specht_rep(lam):
 class OuterRep:
     """Outer tensor product of Specht modules for a product of symmetric groups.
 
-    The basis is the set of tuples of standard row sequences; matrices and
+    The basis is indexed by tuples of standard row sequences; matrices and
     the bilinear form are Kronecker products of the factors'.
     """
 
@@ -334,7 +280,6 @@ class OuterRep:
         self.dim = 1
         for f in self.factors:
             self.dim *= f.dim
-        self.basis = [tuple(t) for t in product(*[f.basis for f in self.factors])]
         F = [[1]]
         for f in self.factors:
             F = kron(F, f.form)

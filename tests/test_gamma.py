@@ -131,7 +131,7 @@ def _ideal_closure(bvec, l, n):
     while frontier:
         d = frontier.pop()
         for g in gens:
-            for nd in (dg.compose(g, d).diagram, dg.compose(d, g).diagram):
+            for nd in (dg.compose(g, d)[1], dg.compose(d, g)[1]):
                 if nd not in seen:
                     seen.add(nd)
                     frontier.append(nd)
