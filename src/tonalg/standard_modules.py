@@ -13,8 +13,9 @@ to least-vertex order gives the polar decomposition.
 
 polar_decompose is the one reader of a (top profile, sigma, bottom profile)
 triple and polar_recompose the one writer: the layout, the transversal
-diagrams, the left-ideal reduction (decompose_left_term), and the Gram and
-corner-group matchings all go through them.
+diagrams, the left-ideal reduction (decompose_left_term), the Gram
+matchings, and the corner group's matching diagrams, written from the
+profiles of b_m, all go through them.
 """
 
 from bisect import bisect_left

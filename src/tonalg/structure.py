@@ -3,12 +3,15 @@ quotient, with desk-scale verification of the hereditary-ideal conditions:
 (pre)idempotent generators, section dimensions, and matching-group corners.
 """
 
+from functools import lru_cache
+from itertools import permutations, product
 from math import factorial, prod
 
 from . import diagram as dg
 from . import gamma
-from .algebra import enumerate_basis, generated_hom_check, sandwich_middles
-from .standard_modules import InvariantError, polar_decompose, section_size, vector_counts
+from .algebra import enumerate_basis, generated_hom_check
+from .standard_modules import InvariantError, polar_decompose, polar_recompose
+from .standard_modules import section_size, vector_counts
 
 
 def p_chain(l, n):
@@ -33,6 +36,7 @@ def a_chain(l, n):
     return labels
 
 
+@lru_cache(maxsize=None)
 def fully_propagating_dim(l, n):
     """Dimension of the quotient by the cut ideal: diagrams in which every
     part propagates with equal top and bottom order at most l."""
@@ -71,43 +75,40 @@ def corner_group_check(mvec, l, n):
 
     Returns (ok, dimension): dimension = prod(m_i!).
 
-    The survivors are the b_m*c*b_m of vector m, c over
-    sandwich_middles(b_m, b_m, l): the same set as over the whole basis.
-    Only the middles with m <= prop_vector(c) are composed: by the
-    bottleneck order, prop(x*y) <= prop(x), and the flip, an
-    anti-automorphism that keeps every block's class, keeps vectors, so
-    prop(b_m*c*b_m) <= prop(b_m*c) = prop(flip(c)*flip(b_m)) <= prop(flip(c))
-    = prop(c), and a middle with m not below prop(c) leaves no survivor.
-    Checked: there are as many survivors as elements of G = prod S_{m_i},
-    and `match` maps them injectively into G, so onto it; and
-    generated_hom_check with delta exponent 0 on G, the generators being
-    the survivors matching the identity and one adjacent transposition in
-    one class.  So every product of two survivors is a survivor, with
-    delta^0, and match is a homomorphism into the opposite group:
-    match(q1*q2) is match(q1) then match(q2).
+    The candidates are polar_recompose(top, sigma, bottom), sigma over
+    G = prod S_{m_i}, from the profiles of b_m, which has vector m and
+    whose every block propagates (both checked).  They are the survivors,
+    the b_m*x*b_m of vector m over the basis:
+    - every survivor is a candidate.  Each of its blocks meets the top row
+      in a union of the ht(m) top parts of b_m, and ht(m) of its blocks
+      propagate, so each of those holds exactly one part and none is cut
+      off: the top profile is b_m's, classes included (a top part's size
+      fixes its class).  The flip, an anti-automorphism keeping classes,
+      gives the bottom profile, and polar decomposition gives the sigma;
+    - every candidate is a survivor.  Checked: there are |G| distinct
+      candidates, the one of the identity is b_m, and generated_hom_check
+      holds with delta exponent 0 on G, the generators being b_m and the
+      candidates of the adjacent transpositions in each class.  So every
+      product of two candidates is a candidate, with delta^0, and match is
+      a homomorphism into the opposite group: match(q1*q2) is match(q1)
+      then match(q2).  Taking q1 or q2 = b_m gives b_m*q*b_m = q.
     """
     if not any(mvec):
         return True, 1
     bm = dg.b_m(mvec, l, n)
-    # every l-tone (n, n) diagram has its vector in gamma_set(l, n)
-    above = {v for v in gamma.gamma_set(l, n) if gamma.poset_leq(mvec, v, l)}
-    survivors = set()
-    for c in sandwich_middles(bm, bm, l):
-        if dg.prop_vector(c, l) not in above:
-            continue
-        _, q1 = dg.compose(bm, c)
-        _, q2 = dg.compose(q1, bm)
-        if dg.prop_vector(q2, l) == mvec:
-            survivors.add(q2)
+    top, _, bottom, v = polar_decompose(bm, l)
     want = prod(map(factorial, mvec))
-    if len(survivors) != want:
+    if v != mvec or not all(cls for _, cls in top + bottom):
         return False, want
-    match = {q: _matching_of(q, bm, l) for q in survivors}
-    by_match = {s: q for q, s in match.items()}
-    if None in by_match or len(by_match) != want:
-        return False, want
+    by_match = {
+        s: polar_recompose(top, s, bottom, l, n)
+        for s in product(*(permutations(range(x)) for x in mvec))
+    }
+    match = {q: s for s, q in by_match.items()}
     ident = tuple(tuple(range(x)) for x in mvec)
-    gens = [by_match[ident]]
+    if len(match) != want or by_match[ident] != bm:
+        return False, want
+    gens = [bm]
     for i, x in enumerate(mvec):
         for j in range(x - 1):
             s = list(ident)
@@ -118,14 +119,6 @@ def corner_group_check(mvec, l, n):
         return 0, tuple(tuple(b[x] for x in a) for a, b in zip(s1, s2))
 
     return generated_hom_check(gens, match, then), want
-
-
-def _matching_of(q, bm, l):
-    """Per-class matching of a diagram carrying the absorbing layout: its
-    sigma when both its profiles are those of bm, else None."""
-    top, sigma, bottom, _ = polar_decompose(q, l)
-    want_top, _, want_bottom, _ = polar_decompose(bm, l)
-    return sigma if (top, bottom) == (want_top, want_bottom) else None
 
 
 def section_checks(l, n, delta0=None):

@@ -1,12 +1,15 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import structure as st
+from tonalg import verify
 from tonalg.algebra import enumerate_basis, sandwich_middles
-from tonalg.standard_modules import InvariantError
+from tonalg.standard_modules import InvariantError, polar_decompose, polar_recompose
+
+from oracles import plain_polar_decompose
 
 
 def test_p_chain_labels():
@@ -120,10 +123,11 @@ def plain_corner_group_check(mvec, l, n):
     if len(survivors) != want:
         return False, want
     elems = sorted(survivors)
+    bm_top, _, bm_bottom, _ = plain_polar_decompose(bm, l)
     match = {}
     for q in elems:
-        sig = st._matching_of(q, bm, l)
-        if sig is None:
+        top, sig, bottom, _ = plain_polar_decompose(q, l)
+        if (top, bottom) != (bm_top, bm_bottom):
             return False, want
         match[q] = sig
     if len(set(match.values())) != want:
@@ -166,12 +170,7 @@ def test_corner_sweep_matches_plain_images(l, n):
 def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
     # a compose that is wrong only with one generator as the left factor is
     # caught, for the identity survivor and for each adjacent transposition
-    bm = dg.b_m(mvec, l, n)
-    survivors = {}
-    for c in sandwich_middles(bm, bm, l):
-        q = dg.compose(dg.compose(bm, c)[1], bm)[1]
-        if dg.prop_vector(q, l) == mvec:
-            survivors[st._matching_of(q, bm, l)] = q
+    top, _, bottom, _ = polar_decompose(dg.b_m(mvec, l, n), l)
     ident = tuple(tuple(range(x)) for x in mvec)
     gens = [ident]
     for i, x in enumerate(mvec):
@@ -179,7 +178,8 @@ def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
             s = list(ident)
             s[i] = ident[i][:j] + (j + 1, j) + ident[i][j + 2:]
             gens.append(tuple(s))
-    want = len(survivors)
+    survivors = {s: polar_recompose(top, s, bottom, l, n) for s in gens}
+    want = prod(map(factorial, mvec))
     assert st.corner_group_check(mvec, l, n) == (True, want)
     compose = dg.compose
     for s in gens:
@@ -195,34 +195,6 @@ def test_corner_table_composes_every_generator(monkeypatch, mvec, l, n):
             assert plain_corner_group_check(mvec, l, n) == (False, want), s
 
 
-@pytest.mark.parametrize("mvec,l,n", [((1, 0), 2, 5), ((3, 1), 2, 5), ((2, 0, 1), 3, 5), ((3,), 1, 3)])
-def test_prefilter_dropping_a_survivor_fails(monkeypatch, mvec, l, n):
-    # negative control: prop_vector under-reports the middle that yields
-    # one survivor; its first call on that diagram is the prefilter's, so
-    # the middle is skipped there and never composed
-    bm = dg.b_m(mvec, l, n)
-    survivors = set()
-    for c in sandwich_middles(bm, bm, l):
-        q = dg.compose(dg.compose(bm, c)[1], bm)[1]
-        if dg.prop_vector(q, l) == mvec:
-            survivors.add(q)
-    want = len(survivors)
-    assert st.corner_group_check(mvec, l, n) == (True, want)
-    victim = max(survivors)
-    real = dg.prop_vector
-    lied = []
-
-    def under_reported(d, l):
-        if d == victim and not lied:
-            lied.append(d)
-            return (0,) * l
-        return real(d, l)
-
-    monkeypatch.setattr(st.dg, "prop_vector", under_reported)
-    assert st.corner_group_check(mvec, l, n) == (False, want)
-    assert lied == [victim]
-
-
 @pytest.mark.parametrize("mvec,l,n", [((2, 0), 2, 4), ((3, 1), 2, 5), ((2, 0, 1), 3, 5)])
 def test_corner_group_check_needs_every_generator(monkeypatch, mvec, l, n):
     # the last adjacent transposition dropped: the survivors it would reach
@@ -236,24 +208,37 @@ def test_corner_group_check_needs_every_generator(monkeypatch, mvec, l, n):
     assert st.corner_group_check(mvec, l, n) == (False, want)
 
 
-def test_matching_of_reads_b_m_as_identity():
-    for mvec, l, n in [((1, 1), 2, 5), ((3, 1), 2, 5), ((2, 0, 1), 3, 5), ((1, 0, 1), 3, 7)]:
-        bm = dg.b_m(mvec, l, n)
-        assert st._matching_of(bm, bm, l) == tuple(tuple(range(x)) for x in mvec)
+@pytest.mark.parametrize("l,n", [(1, 4), (2, 4), (2, 5), (3, 5)])
+def test_sandwich_of_vector_m_keeps_the_profiles_of_b_m(l, n):
+    # the lemma behind the candidates of corner_group_check: b_m*p*b_m of
+    # vector m has the top and bottom profiles of b_m, with their classes
+    for m in gamma.gamma_set(l, n):
+        if not any(m):
+            continue
+        bm = dg.b_m(m, l, n)
+        top, _, bottom, _ = polar_decompose(bm, l)
+        for p in enumerate_basis(l, n, n):
+            q = dg.compose(dg.compose(bm, p)[1], bm)[1]
+            if dg.prop_vector(q, l) == m:
+                q_top, _, q_bottom, _ = polar_decompose(q, l)
+                assert (q_top, q_bottom) == (top, bottom), (m, p)
 
 
-@pytest.mark.parametrize(
-    "q",
-    [
-        dg.a_m((1, 1), 2, 5),  # unflagged l-blocks that b_m absorbs
-        dg.compose(dg.b_m((3, 1), 2, 5), dg.transposition(2, 5))[1],  # bottom moved
-        dg.compose(dg.transposition(2, 5), dg.b_m((3, 1), 2, 5))[1],  # top moved
-    ],
-)
-def test_matching_of_rejects_other_profiles(q):
-    # negative control: vector m, but not the profiles of b_m
-    l = 2
-    mvec = dg.prop_vector(q, l)
-    bm = dg.b_m(mvec, l, q.n)
-    assert q != bm and mvec in ((1, 1), (3, 1))
-    assert st._matching_of(q, bm, l) is None
+def test_corner_group_check_fails_on_a_m(monkeypatch):
+    # negative control: a_m keeps unflagged blocks, so its profiles are not
+    # those of an absorbing idempotent
+    assert st.corner_group_check((1, 1), 2, 5) == (True, 1)
+    monkeypatch.setattr(st.dg, "b_m", dg.a_m)
+    assert st.corner_group_check((1, 1), 2, 5) == (False, 1)
+    assert not verify.check_matching_group_corner(2, 5)
+
+
+def test_heredity_sections_fail_on_an_under_count(monkeypatch):
+    # negative control: one vector's basis count short by one
+    counts = dict(st.vector_counts(2, 5))
+    assert verify.check_heredity_sections(2, 5) is True
+    counts[(1, 0)] -= 1
+    monkeypatch.setattr(st, "vector_counts", lambda l, n: counts)
+    assert verify.check_heredity_sections(2, 5) is False
+    res = verify.run_verify(2, 5, ["heredity-sections"])[-1]
+    assert not res.ok and res.error is None
