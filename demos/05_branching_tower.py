@@ -8,7 +8,7 @@ print("== restricting the 10-dimensional module ((2),-) from n=4 to n=3 ==")
 rule = restrict_rule(((2,), ()), 2, 4)
 print("submodule labels:", rule.sub)
 print("quotient labels :", rule.quo)
-dims = [standard_dim(mu, 2, 3) for mu in rule.all_labels()]
+dims = [standard_dim(mu, 2, 3) for mu in rule.sub + rule.quo]
 print("dimension identity: 10 =", " + ".join(map(str, dims)))
 
 print()

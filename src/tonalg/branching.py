@@ -32,21 +32,8 @@ def _valid(mu, l, n):
     return dg.gamma_member(mvec, l, n) is not None
 
 
-class FiltrationMultiset:
-    """Submodule labels (sub) and quotient labels (quo) of a restriction."""
-
-    def __init__(self, sub, quo):
-        self.sub = tuple(sorted(sub))
-        self.quo = tuple(sorted(quo))
-
-    def __eq__(self, other):
-        return (self.sub, self.quo) == (other.sub, other.quo)
-
-    def __repr__(self):
-        return "FiltrationMultiset(sub=%r, quo=%r)" % (self.sub, self.quo)
-
-    def all_labels(self):
-        return self.sub + self.quo
+# submodule labels (sub) and quotient labels (quo) of a restriction, each sorted
+FiltrationMultiset = namedtuple("FiltrationMultiset", ["sub", "quo"])
 
 
 def _class_labels(lam, l, nplus1):
@@ -74,7 +61,7 @@ def restrict_rule(lam, l, nplus1):
         raise dg.DiagramError("invalid label %r for l=%d, n=%d" % (lam, l, nplus1))
     table = _class_labels(lam, l, nplus1)
     sub = [mu for c, labels in table.items() if c != 0 for mu in labels]
-    return FiltrationMultiset(sub, table[0])
+    return FiltrationMultiset(tuple(sorted(sub)), tuple(sorted(table[0])))
 
 
 def first_vertex_class(profile, l):
@@ -198,7 +185,7 @@ class BratteliGraph:
         for n in range(n_max, 0, -1):
             for lam in self.layers[n]:
                 rule = restrict_rule(lam, l, n)
-                mult = Counter(rule.all_labels())
+                mult = Counter(rule.sub + rule.quo)
                 for mu, k in sorted(mult.items()):
                     self.edges.append((n, lam, mu, k))
 

@@ -14,20 +14,20 @@ to least-vertex order gives the polar decomposition.
 polar_decompose is the one reader of a (top profile, sigma, bottom profile)
 triple and polar_recompose the one writer: the layout, the transversal
 diagrams, the left-ideal reduction (decompose_left_term), the Gram
-matchings, and the corner group's matching diagrams, written from the
-profiles of b_m, all go through them.
+matchings, the corner group's matching diagrams, written from the
+profiles of b_m, and basis_diagram, which indexes the basis for the checks
+that draw from it, all go through them.
 """
 
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, prod
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 from types import MappingProxyType
 
 from . import diagram as dg
 from . import gamma
-from .algebra import enumerate_basis
 from .exactla import block_matrix, identity_matrix, int_mat_mul
 from .symmetric import (
     outer_rep,
@@ -336,13 +336,57 @@ def all_labels(l, n):
 @lru_cache(maxsize=None)
 def vector_counts(l, n):
     """Number of basis diagrams with each exact propagating vector, as a
-    read-only mapping built once per (l, n)."""
-    return MappingProxyType(Counter(dg.prop_vector(d, l) for d in enumerate_basis(l, n, n)))
+    read-only mapping built once per (l, n), counted without building one.
+
+    Blocks come in least-vertex order.  With a tops and b bottoms left, the
+    next block takes i >= 1 tops (C(a-1, i-1) ways) and j = i mod l bottoms
+    (C(b, j) ways), or once a = 0, j >= 1 bottoms, j = 0 mod l (C(b-1, j-1)
+    ways).  The rest counts the same whichever vertices they are, so count
+    is memoised on (a, b).  A block with i, j >= 1 is of class (i-1) mod l + 1.
+    """
+
+    @lru_cache(maxsize=None)
+    def count(a, b):
+        out = Counter() if a or b else Counter({(0,) * l: 1})
+        for i in range(a > 0, a + 1):
+            for j in range(i % l if a else l, b + 1, l):
+                ways = comb(a - 1, i - 1) * comb(b, j) if a else comb(b - 1, j - 1)
+                for v, k in count(a - i, b - j).items():
+                    if i and j:
+                        c = (i - 1) % l
+                        v = v[:c] + (v[c] + 1,) + v[c + 1 :]
+                    out[v] += ways * k
+        return out
+
+    return MappingProxyType(count(n, n))
+
+
+@lru_cache(maxsize=None)
+def matchings(mvec):
+    """Every sigma of vector mvec: the matching group prod S_{m_i}."""
+    return tuple(product(*(permutations(range(x)) for x in mvec)))
+
+
+@lru_cache(maxsize=None)
+def basis_diagram(r, l, n):
+    """The basis diagram of index r: vectors in gamma_set order, then r's
+    digits (top, sigma, bottom) in transversal x matchings x transversal.
+    Cached, as compose stores its labels on the diagram.  IndexError for r
+    outside [0, sum of vector_counts)."""
+    for mvec in gamma.gamma_set(l, n):
+        ts, ss = transversal(mvec, l, n), matchings(mvec)
+        size = len(ts) ** 2 * len(ss)
+        if 0 <= r < size:
+            r, bottom = divmod(r, len(ts))
+            top, s = divmod(r, len(ss))
+            return polar_recompose(ts[top], ss[s], ts[bottom], l, n)
+        r -= size
+    raise IndexError("no basis diagram of that index for l=%d, n=%d" % (l, n))
 
 
 def sum_of_squares_check(l, n):
-    """Brute-force algebra dimension against the sum of squared module dims."""
-    lhs = len(enumerate_basis(l, n, n))
+    """Algebra dimension, counted by vector, against the sum of squared module dims."""
+    lhs = sum(vector_counts(l, n).values())
     rhs = sum(standard_dim(mu, l, n) ** 2 for mu in all_labels(l, n))
     return lhs == rhs
 

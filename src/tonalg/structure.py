@@ -3,14 +3,12 @@ quotient, with desk-scale verification of the hereditary-ideal conditions:
 (pre)idempotent generators, section dimensions, and matching-group corners.
 """
 
-from functools import lru_cache
-from itertools import permutations, product
 from math import factorial, prod
 
 from . import diagram as dg
 from . import gamma
-from .algebra import enumerate_basis, generated_hom_check
-from .standard_modules import InvariantError, polar_decompose, polar_recompose
+from .algebra import generated_hom_check
+from .standard_modules import InvariantError, matchings, polar_decompose, polar_recompose
 from .standard_modules import section_size, vector_counts
 
 
@@ -36,22 +34,17 @@ def a_chain(l, n):
     return labels
 
 
-@lru_cache(maxsize=None)
 def fully_propagating_dim(l, n):
     """Dimension of the quotient by the cut ideal: diagrams in which every
-    part propagates with equal top and bottom order at most l."""
-    count = 0
-    for d in enumerate_basis(l, n, n):
-        ok = True
-        for b in d.blocks:
-            top = sum(1 for v in b if v < n)
-            bot = len(b) - top
-            if top == 0 or bot == 0 or top != bot or top > l:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    part propagates with equal top and bottom order at most l.  With m_i
+    parts of order i, r_m = n: each row splits into those parts n! /
+    prod(i!^m_i m_i!) ways, and the parts of each order match m_i! ways."""
+    total = 0
+    for m in gamma.gamma_set(l, n):
+        if gamma.r_of(m) == n:
+            rows = factorial(n) // prod(factorial(i) ** x * factorial(x) for i, x in enumerate(m, 1))
+            total += rows**2 * prod(map(factorial, m))
+    return total
 
 
 def section_label_sets(l, n):
@@ -100,10 +93,7 @@ def corner_group_check(mvec, l, n):
     want = prod(map(factorial, mvec))
     if v != mvec or not all(cls for _, cls in top + bottom):
         return False, want
-    by_match = {
-        s: polar_recompose(top, s, bottom, l, n)
-        for s in product(*(permutations(range(x)) for x in mvec))
-    }
+    by_match = {s: polar_recompose(top, s, bottom, l, n) for s in matchings(mvec)}
     match = {q: s for s, q in by_match.items()}
     ident = tuple(tuple(range(x)) for x in mvec)
     if len(match) != want or by_match[ident] != bm:
@@ -131,7 +121,7 @@ def section_checks(l, n, delta0=None):
     positive delta power, its vector is zero, and delta0 == 0.
     """
     counts = vector_counts(l, n)
-    report = {"l": l, "n": n, "steps": [], "total": len(enumerate_basis(l, n, n))}
+    report = {"l": l, "n": n, "steps": [], "total": sum(counts.values())}
     running = 0
     for label, consumed in section_label_sets(l, n):
         a = dg.a_m(label, l, n)

@@ -55,11 +55,11 @@ def test_criterion_04_branching_identities():
     rule1 = restrict_rule(((2,), ()), 2, 4)
     ok = rule1.sub == (((1,), ()), ((1,), (1,)))
     ok = ok and rule1.quo == (((2, 1), ()), ((3,), ()))
-    dims1 = sorted((standard_dim(mu, 2, 3) for mu in rule1.all_labels()), reverse=True)
+    dims1 = sorted((standard_dim(mu, 2, 3) for mu in rule1.sub + rule1.quo), reverse=True)
     ok = ok and dims1 == [4, 3, 2, 1] and sum(dims1) == 10
     rule2 = restrict_rule(((), (1,)), 2, 4)
     ok = ok and rule2.sub == (((1,), ()),) and rule2.quo == (((1,), (1,)),)
-    ok = ok and [standard_dim(mu, 2, 3) for mu in rule2.all_labels()] == [4, 3]
+    ok = ok and [standard_dim(mu, 2, 3) for mu in rule2.sub + rule2.quo] == [4, 3]
     ok = ok and standard_dim(((), (1,)), 2, 4) == 7
     ok = ok and classified_dim_checks(((2,), ()), 2, 4)[0]
     ok = ok and classified_dim_checks(((), (1,)), 2, 4)[0]

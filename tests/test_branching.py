@@ -49,7 +49,7 @@ def test_restrict_rule_l1_shape():
 def test_restrict_rule_filters_invalid():
     # fully propagating label: no non-propagating classes survive
     rule = br.restrict_rule(((2, 1), (1,)), 2, 5)
-    for mu in rule.all_labels():
+    for mu in rule.sub + rule.quo:
         assert dg.gamma_member(tuple(sum(x) for x in mu), 2, 4) is not None
     assert br.classified_dim_checks(((2, 1), (1,)), 2, 5)[0]
 

@@ -278,14 +278,15 @@ if argv:
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "tonalg")))
 """
 BASIS_MODULES = {"cli", "diagram", "algebra"}
-GRAM_MODULES = BASIS_MODULES | {"deltapoly", "exactla", "gamma", "gram", "standard_modules", "symmetric"}
+# gram reads no basis, so it loads no algebra
+GRAM_MODULES = {"cli", "diagram", "deltapoly", "exactla", "gamma", "gram", "standard_modules", "symmetric"}
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], {"cli", "diagram"}),
     (["basis", "--l", "2", "--n", "3"], BASIS_MODULES),
     (["gram", "--l", "2", "--n", "3", "--mu", "1|-", "--det", "--at", "1/1"], GRAM_MODULES),
-    (["verify", "--l", "1", "--n-max", "1"], GRAM_MODULES | {"branching", "structure", "verify"}),
+    (["verify", "--l", "1", "--n-max", "1"], GRAM_MODULES | {"algebra", "branching", "structure", "verify"}),
 ])
 def test_subcommand_imports_only_what_it_runs(argv, loaded):
     # a fresh process, so the modules other tests imported do not count

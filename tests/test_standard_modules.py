@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -227,9 +228,34 @@ def test_section_size_worked_values():
 def test_vector_counts_are_built_once_and_read_only():
     counts = sm.vector_counts(2, 4)
     assert sm.vector_counts(2, 4) is counts
-    assert sum(counts.values()) == len(enumerate_basis(2, 4, 4))
     with pytest.raises(TypeError):
         counts[(4, 0)] = 0
+
+
+BASIS_SIZES = [(l, n) for l in range(1, 5) for n in range(6)]
+
+
+@pytest.mark.parametrize("l, n", BASIS_SIZES)
+def test_vector_counts_match_the_basis(l, n):
+    # the count builds no diagram; the plain route reads each one's vector
+    plain = Counter(dg.prop_vector(d, l) for d in enumerate_basis(l, n, n))
+    assert dict(sm.vector_counts(l, n)) == plain
+
+
+@pytest.mark.parametrize("l, n", BASIS_SIZES)
+def test_basis_diagram_indexes_the_basis(l, n):
+    # uncached, so the sweep leaves no diagrams behind
+    decode = sm.basis_diagram.__wrapped__
+    size = sum(sm.vector_counts(l, n).values())
+    assert sorted(decode(r, l, n) for r in range(size)) == list(enumerate_basis(l, n, n))
+    for r in (-1, size):
+        with pytest.raises(IndexError):
+            decode(r, l, n)
+
+
+def test_matchings_are_the_matching_group():
+    assert sm.matchings((2, 0, 1)) == (((0, 1), (), (0,)), ((1, 0), (), (0,)))
+    assert len(sm.matchings((3, 2))) == 12
 
 
 @pytest.mark.parametrize("l, n", [(2, 4), (3, 4)])

@@ -72,6 +72,20 @@ def test_fully_propagating_dim_l1_is_factorial():
         assert st.fully_propagating_dim(1, n) == factorial(n)
 
 
+def plain_fully_propagating_dim(l, n):
+    """The block filter over the whole basis."""
+    count = 0
+    for d in enumerate_basis(l, n, n):
+        tops = [sum(1 for v in b if v < n) for b in d.blocks]
+        count += all(0 < t == len(b) - t <= l for t, b in zip(tops, d.blocks))
+    return count
+
+
+@pytest.mark.parametrize("l, n", [(l, n) for l in range(1, 5) for n in range(6)])
+def test_fully_propagating_dim_matches_the_block_filter(l, n):
+    assert st.fully_propagating_dim(l, n) == plain_fully_propagating_dim(l, n)
+
+
 def test_chain_order_compatibility_small():
     # for tone parameter 1 the two orders coincide, so this always holds;
     # for l >= 2 it holds at small n only (see the counterexamples below)

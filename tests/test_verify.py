@@ -5,6 +5,7 @@ from tonalg import gamma
 from tonalg import verify
 from tonalg.algebra import enumerate_basis, sandwich_middles
 from tonalg import standard_modules as sm
+from tonalg import structure as st
 from tonalg.standard_modules import polar_decompose, transversal
 from tonalg.verify import pairwise_closure
 
@@ -58,21 +59,45 @@ def test_pair_outcome_is_fixed_by_signatures(l, n):
             assert pair_outcome(a, b, l) == rep_outcome[left_sig[a], right_sig[b]], (a, b)
 
 
-@pytest.fixture
-def fresh_vector_counts():
-    sm.vector_counts.cache_clear()
-    yield
-    sm.vector_counts.cache_clear()
+def test_an_under_count_fails_the_counting_checks(monkeypatch):
+    names = ["basis-vector-partition", "sum-of-squares", "heredity-sections"]
+    assert all(r.ok for r in verify.run_verify(2, 4, names))
+    counts = dict(sm.vector_counts(2, 4))
+    counts[(2, 0)] -= 1
+    for mod in (sm, st):
+        monkeypatch.setattr(mod, "vector_counts", lambda l, n: counts)
+    results = verify.run_verify(2, 4, names)[-3:]
+    assert [(r.params, r.ok, r.error) for r in results] == [("l=2,n=4", False, None)] * 3
 
 
-def test_non_tone_basis_fails_basis_vector_partition(monkeypatch, fresh_vector_counts):
-    # tone closure takes the basis diagrams to be l-tone; basis-vector-partition
-    # is the check that reads each one's tone, so a basis with a non-tone
-    # diagram in it must not pass
-    basis = tuple(enumerate_basis(2, 3, 3)) + (dg.epsilon(1, 3),)
-    monkeypatch.setattr(sm, "enumerate_basis", lambda l, n, m: basis)
-    res = verify.run_verify(2, 3, ["basis-vector-partition"])[-1]
-    assert res.params == "l=2,n=3" and not res.ok
+def test_a_wrong_delta_exponent_fails_the_samplers(monkeypatch):
+    real = dg.compose
+
+    def off_by_parity(p, q):
+        # the exponent is off by the parity of the right factor's block count
+        k, d = real(p, q)
+        return k + len(q.blocks) % 2, d
+
+    monkeypatch.setattr(dg, "compose", off_by_parity)
+    assert not verify.check_associativity(2, 4)
+    assert not verify.check_flip_antiautomorphism(2, 4)
+
+
+def test_an_identity_flip_fails_flip_antiautomorphism(monkeypatch):
+    assert verify.check_flip_antiautomorphism(2, 4)
+    monkeypatch.setattr(dg, "flip", lambda p: p)
+    assert not verify.check_flip_antiautomorphism(2, 4)
+
+
+def test_a_non_tone_basis_diagram_is_an_error_in_tone_closure(monkeypatch):
+    # tone closure takes the basis diagrams to be l-tone and is where their
+    # tone is read: a non-tone transversal diagram must raise, not pass
+    real = verify.transversal_diagrams
+    monkeypatch.setattr(
+        verify, "transversal_diagrams", lambda m, l, n: real(m, l, n) + (dg.epsilon(1, n),)
+    )
+    res = verify.run_verify(2, 3, ["tone-closure-and-bottleneck"])[-1]
+    assert not res.ok and res.error.startswith("DiagramError: ")
 
 
 def test_wrong_products_break_the_bottleneck(monkeypatch):
