@@ -14,7 +14,7 @@ print("(9,0,0) covers (7,1,0)?", gamma.poset_lt((7, 1, 0), (9, 0, 0), l))
 
 print()
 print("ascending total order (height, then reverse-lex):")
-print(gamma.chain(l, n))
+print(list(g))
 
 print()
 print("height levels of the fully propagating part:")

@@ -89,15 +89,10 @@ def total_key(mvec):
     return (ht(mvec), tuple(-x for x in mvec))
 
 
-def chain(l, n):
-    """The vectors in ascending total order; the last is (n, 0, ..., 0)."""
-    return list(gamma_set(l, n))
-
-
 def chain_prefix_check(l, n):
-    """For consecutive chain elements, the strict poset down-set of the
+    """For consecutive vectors of gamma_set, the strict poset down-set of the
     successor is contained in the total-order down-set of the predecessor."""
-    ch = chain(l, n)
+    ch = gamma_set(l, n)
     for i in range(len(ch) - 1):
         below = {v for v in ch if poset_lt(v, ch[i + 1], l)}
         prefix = set(ch[: i + 1])
@@ -174,7 +169,7 @@ def gamma_report(l, n):
         "n": n,
         "vectors": [list(m) for m in gamma_set(l, n)],
         "covers": [[list(a), list(b)] for a, b in covers(l, n)],
-        "chain": [list(m) for m in chain(l, n)],
+        "chain": [list(m) for m in gamma_set(l, n)],
         "eta": {str(t): [list(m) for m in ms] for t, ms in sorted(eta_levels(l, n).items())},
         "h_subset": [list(m) for m in h_subset(l, n)],
         "h_min": h_min(l, n),

@@ -11,7 +11,6 @@ layout and the entry is delta^k times the symmetric-group form value.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-import random
 
 from . import diagram as dg
 from . import gamma
@@ -21,6 +20,7 @@ from .standard_modules import (
     gram_table,
     generator_diagrams,
     all_labels,
+    transversal,
 )
 
 
@@ -123,79 +123,76 @@ def is_semisimple_at(l, n, point):
 
 def top_layer_check(l, n):
     """For labels in the top layer the Gram matrix is delta-free up to one
-    global power and of full rank over the rationals."""
-    from .symmetric import multipartitions_of
+    global power and of full rank over the rationals.
 
+    Read off gram_table: for each top-layer vector it must hold exactly the
+    diagonal sandwiches (i, i), all with one exponent k.  The Gram matrix of
+    every label of that vector is then delta^k diag(F M(s_i)), F being the
+    positive definite tableau form and each M(s_i) invertible, so it has
+    full rank wherever delta^k is nonzero, and no rank is taken.
+    """
     for mvec in gamma.h_subset(l, n):
-        for mu in multipartitions_of(mvec):
-            g = gram_matrix(mu, l, n)
-            if len({k for _, _, k, _ in g.blocks()}) > 1:
-                return False
-            if g.rank_at(1) != g.dim:
-                return False
+        table = gram_table(mvec, l, n)
+        size = len(transversal(mvec, l, n))
+        if {(i, j) for i, j, _, _ in table} != {(i, i) for i in range(size)}:
+            return False
+        if len({k for _, _, k, _ in table}) != 1:
+            return False
     return True
-
-
-def transpose_times_gram(amap, g):
-    """M^T G as a block dict {(j, c): (k, P)}, for the action map of M."""
-    out = {}
-    for j, e in enumerate(amap):
-        if e:
-            i, k, B = e
-            Bt = list(zip(*B))
-            for c, (kg, X) in g.rows[i].items():
-                out[j, c] = (k + kg, int_mat_mul(Bt, X))
-    return out
 
 
 def gram_times(g, amap):
     """G M as a block dict {(j, c): (k, P)}, for the action map of M; G is
-    symmetric, so the blocks (j, i) of column i are keyed by rows[i]."""
-    out = {}
+    symmetric, so the blocks (j, i) of column i are keyed by rows[i].  The
+    stored X (one per matching) and the B (one per permutation) are shared,
+    so each product X B is taken once, and the P are shared in turn."""
+    out, products = {}, {}
     for c, e in enumerate(amap):
         if e:
             i, k, B = e
             for j in g.rows[i]:
                 kg, X = g.rows[j][i]
-                out[j, c] = (kg + k, int_mat_mul(X, B))
+                key = id(X), id(B)
+                if key not in products:
+                    products[key] = int_mat_mul(X, B)
+                out[j, c] = (kg + k, products[key])
     return out
 
 
-def contravariance_check(mu, l, n, trials=16, seed=0):
-    """<x.u, w> = <u, x^op.w> exactly in Z[delta], for every element x
-    supported on `trials` random generator words.
+def contravariance_check(mu, l, n):
+    """<x.u, w> = <u, x^op.w> exactly in Z[delta], for every element x of
+    the algebra, checked as M_d^T G = G M_flip(d) for each generator d.
 
-    Checked as M_d^T G = G M_flip(d) for each diagram d of the support.
-    That is enough: x = sum_d p_d d and x^op = sum_d p_d flip(d),
-    and d -> M_d is linear, so M_x^T G = sum_d p_d M_d^T G = sum_d p_d G
-    M_flip(d) = G M_x^op.  A diagram sends each column block to at most one
-    block, so every block of either side is one monomial product or zero,
-    and the two sides are compared block by block.  Equal block dicts give
-    equal matrices; the converse holds as no product block is zero, each
-    being an invertible matrix times a stored Gram block.
+    That is enough.  With the identity, the generators reach every basis
+    diagram up to delta (corner-compression compresses W_b(l, n + l) onto
+    n strands and checks this through generated_hom_check); d -> M_d is a
+    representation and flip an anti-automorphism.  So if a and b pass and
+    a*b = delta^k c, then delta^k M_c^T G = M_b^T M_a^T G = M_b^T G
+    M_flip(a) = G M_flip(b) M_flip(a) = delta^k G M_flip(c), and delta^k
+    cancels, Z[delta] being a domain.  The identity passes as G is
+    symmetric, and linearity carries the equation to every x.
+
+    G is symmetric, so block (j, c) of M_d^T G = (G M_d)^T is the transpose
+    of block (c, j) of G M_d, and gram_times serves both sides; a generator
+    that is its own flip reuses its one product.  A diagram sends each
+    column block to at most one block, so every block of either side is
+    one monomial product or zero.  Equal blocks give equal matrices; the
+    converse holds as no product block is zero, each being an invertible
+    matrix times a stored Gram block.
     """
     g = gram_matrix(mu, l, n)
     mod = g.module
-    for d, fd in _random_supports(l, n, trials, seed):
-        if transpose_times_gram(mod.action_map(d), g) != gram_times(g, mod.action_map(fd)):
+    for d in generator_diagrams(l, n).values():
+        left = gram_times(g, mod.action_map(d))
+        fd = dg.flip(d)
+        right = left if fd == d else gram_times(g, mod.action_map(fd))
+        if len(left) != len(right):
             return False
+        for (c, j), (k, P) in left.items():
+            e = right.get((j, c))
+            if e is None or e[0] != k or e[1] != [list(col) for col in zip(*P)]:
+                return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _random_supports(l, n, trials, seed):
-    """(d, flip(d)) for the distinct diagrams d of `trials` random words of
-    one to three generators (the identity among them), drawn from
-    random.Random(seed): the same for every label at (l, n), so drawn once."""
-    rng = random.Random(seed)
-    gens = list(generator_diagrams(l, n).values()) + [dg.identity(n)]
-    support = {}
-    for _ in range(trials):
-        d = dg.identity(n)
-        for _ in range(rng.randint(1, 3)):
-            d = dg.compose(d, rng.choice(gens))[1]
-        support[d] = None
-    return tuple((d, dg.flip(d)) for d in support)
 
 
 def gram_report(mu, l, n, point=None, want_det=False):

@@ -434,15 +434,13 @@ def globalise_module_check(mu, l, n):
 
 def vanishing_top_layer_check(l, n):
     """The appended cut element annihilates every module whose vector is in
-    the top layer (fully propagating)."""
+    the top layer (fully propagating).  A module's action map is None
+    exactly where action_table is, so one table per vector decides all of
+    its labels."""
     if n < l:
         return True
     wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
-    for mvec in gamma.h_subset(l, n):
-        for mu in multipartitions_of(mvec):
-            if any(standard_module(mu, l, n).action_map(wbar)):
-                return False
-    return True
+    return not any(any(action_table(wbar, mvec, l, n)) for mvec in gamma.h_subset(l, n))
 
 
 def section_size(mvec, l, n):

@@ -173,9 +173,9 @@ def a_section_checks(l, n):
 
 def chain_order_compatibility(l, n):
     """Every p-chain down-set is an initial segment of the total order."""
-    ch = gamma.chain(l, n)
+    ch = gamma.gamma_set(l, n)
     for label, _ in section_label_sets(l, n):
-        down = [m for m in ch if gamma.poset_leq(m, label, l)]
+        down = tuple(m for m in ch if gamma.poset_leq(m, label, l))
         if down != ch[: len(down)]:
             return False
     return True

@@ -195,7 +195,7 @@ def check_semisimple_generic_point(l, n):
 
 
 def check_contravariance(l, n):
-    return all(contravariance_check(mu, l, n, trials=8, seed=l * 100 + n) for mu in all_labels(l, n))
+    return all(contravariance_check(mu, l, n) for mu in all_labels(l, n))
 
 
 def check_generator_relations(l, n):

@@ -34,11 +34,9 @@ def dense_blocks(mod, blocks):
     )
 
 
-def _diagrams(l, n, seed):
-    # the generators, and the random words that contravariance_check draws
-    out = dict.fromkeys(sm.generator_diagrams(l, n).values())
-    out.update(dict.fromkeys(d for d, _ in gr._random_supports(l, n, 8, seed)))
-    return list(out)
+def _diagrams(l, n):
+    # the generators, which contravariance_check reads
+    return list(sm.generator_diagrams(l, n).values())
 
 
 @pytest.mark.parametrize("l,n", CASES)
@@ -58,12 +56,13 @@ def test_contravariance_blocks_match_dense_products(l, n):
         g = gr.gram_matrix(mu, l, n)
         mod = g.module
         G, _ = ordered_pair_gram(mu, l, n)
-        for d in _diagrams(l, n, seed=l * 100 + n):
-            lhs = gr.transpose_times_gram(mod.action_map(d), g)
-            want = poly_mat_mul(poly_mat_transpose(dense_action(mod, d)), G)
-            assert dense_blocks(mod, lhs) == want, (mu, d)
-            rhs = gr.gram_times(g, mod.action_map(dg.flip(d)))
-            assert dense_blocks(mod, rhs) == poly_mat_mul(G, dense_action(mod, dg.flip(d))), (mu, d)
+        for d in _diagrams(l, n):
+            M = dense_action(mod, d)
+            GM = gr.gram_times(g, mod.action_map(d))
+            assert dense_blocks(mod, GM) == poly_mat_mul(G, M), (mu, d)
+            # G is symmetric, so the transposed blocks give M^T G
+            MtG = {(c, j): (k, [list(col) for col in zip(*P)]) for (j, c), (k, P) in GM.items()}
+            assert dense_blocks(mod, MtG) == poly_mat_mul(poly_mat_transpose(M), G), (mu, d)
 
 
 @pytest.mark.parametrize("l,n", CASES)
@@ -91,7 +90,7 @@ def test_labels_of_one_vector_share_products(monkeypatch, mvec, l, n):
     # label's maps and Gram blocks still match its own dense oracle
     labels = sm.multipartitions_of(mvec)
     assert len(labels) > 1
-    diagrams = _diagrams(l, n, seed=l * 100 + n)
+    diagrams = _diagrams(l, n)
     calls = []
     compose = dg.compose
 
@@ -144,9 +143,28 @@ def test_perturbed_gram_block_breaks_contravariance(monkeypatch, perturb):
         g.rows[0][1] = (k + 1, X)
     else:
         g.rows[0][1] = (k, [[x + 1 for x in row] for row in X])
-    assert gr.contravariance_check(mu, l, n, trials=8, seed=1)
+    assert gr.contravariance_check(mu, l, n)
     monkeypatch.setattr(gr, "gram_matrix", lambda *args: g)
-    assert not gr.contravariance_check(mu, l, n, trials=8, seed=1)
+    assert not gr.contravariance_check(mu, l, n)
+
+
+def test_uninverted_tableau_perm_breaks_contravariance(monkeypatch):
+    # negative control: matchings act on the tableau factor through
+    # themselves, not their inverses; at (1, 4) the label (2, 1) meets a
+    # matching of order 3, and the generators expose it
+    mu, l, n = ((2, 1),), 1, 4
+    assert gr.contravariance_check(mu, l, n)
+    monkeypatch.setattr(sm, "_tableau_perm", lambda sigma: tuple(sigma))
+    # the per-vector tables and the Gram matrices are cached per process:
+    # build them anew with the patched permutation, and drop them afterwards
+    caches = [sm.action_table, sm.gram_table, gr.gram_matrix]
+    for f in caches:
+        f.cache_clear()
+    try:
+        assert not gr.contravariance_check(mu, l, n)
+    finally:
+        for f in caches:
+            f.cache_clear()
 
 
 def test_dropped_map_entry_fails_span_closure(monkeypatch):

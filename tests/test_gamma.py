@@ -40,14 +40,14 @@ def test_poset_examples():
 
 def test_total_order_chain_l2():
     n = 10
-    desc = list(reversed(gamma.chain(2, n)))
+    desc = list(reversed(gamma.gamma_set(2, n)))
     expect = [(10, 0), (8, 1), (6, 2), (8, 0), (4, 3), (6, 1), (2, 4), (4, 2), (6, 0)]
     assert desc[: len(expect)] == expect
 
 
 def test_total_order_chain_l3():
     n = 12
-    desc = list(reversed(gamma.chain(3, n)))
+    desc = list(reversed(gamma.gamma_set(3, n)))
     expect = [
         (12, 0, 0), (10, 1, 0), (8, 2, 0), (9, 0, 1), (6, 3, 0), (7, 1, 1),
         (9, 0, 0), (4, 4, 0), (5, 2, 1), (6, 0, 2), (7, 1, 0),
@@ -56,9 +56,9 @@ def test_total_order_chain_l3():
 
 
 def test_chain_small_and_top():
-    assert gamma.chain(2, 2) == [(0, 0), (0, 1), (2, 0)]
+    assert gamma.gamma_set(2, 2) == ((0, 0), (0, 1), (2, 0))
     for l, n in [(1, 5), (2, 6), (3, 7)]:
-        assert gamma.chain(l, n)[-1] == tuple([n] + [0] * (l - 1))
+        assert gamma.gamma_set(l, n)[-1] == tuple([n] + [0] * (l - 1))
 
 
 def test_refinement_and_prefix():

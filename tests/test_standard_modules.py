@@ -295,3 +295,20 @@ def test_globalise_modules():
 def test_vanishing_top_layer():
     for l, n in [(2, 3), (2, 4), (3, 3)]:
         assert sm.vanishing_top_layer_check(l, n)
+
+
+def test_surviving_entry_fails_top_layer_vanishing(monkeypatch):
+    # negative control: the appended cut element keeps one block of one
+    # top-layer vector
+    l, n = 2, 4
+    wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
+    mvec = gamma.h_subset(l, n)[0]
+    real = sm.action_table
+
+    def kept(d, m, *rest):
+        table = real(d, m, *rest)
+        return ((0, 0, ()),) + table[1:] if (d, m) == (wbar, mvec) else table
+
+    assert sm.vanishing_top_layer_check(l, n)
+    monkeypatch.setattr(sm, "action_table", kept)
+    assert not sm.vanishing_top_layer_check(l, n)
