@@ -17,46 +17,65 @@ def _tone_walk(charges, l, piece, head):
     charge sum = 0 mod l, in increasing lexicographic order: the block
     holding the least remaining item runs over the residue-0 blocks of the
     remaining items in lexicographic order, so no partition with a nonzero
-    block is ever built.  Returns a list holding each partition as head +
-    the pieces of its blocks; a block's piece(block, what it leaves) is
-    built once, when the blocks of its remaining set are tabulated, once
-    per call."""
+    block is ever built.  A block's piece(block, what it leaves) is built
+    once, when the blocks of its remaining set are tabulated, once per call.
+
+    Returns (count, chunks).  count is the number of partitions, read off
+    the same tables: each block adds 1, or the count of what it leaves.
+    chunks yields, for each block holding item 0 in order, the list of the
+    partitions that begin with it, each as head + the pieces of its blocks;
+    joined end to end they are every partition in order.  No chunk is
+    empty: if the charges sum to 0 mod l, so does every remainder, which is
+    then one block; otherwise count is 0 and there are no chunks."""
     if l < 1:
         raise dg.DiagramError("need l >= 1, got %r" % (l,))
+    if not charges:
+        return 1, iter([[head]])
 
     @lru_cache(maxsize=None)
     def table(rest):
+        # a block's remainder is the items it skipped, then the tail after
+        # its last item
         out, others = [], rest[1:]
-        stack = [((rest[0],), charges[rest[0]] % l, 0)]
+        stack = [((rest[0],), charges[rest[0]] % l, 0, ())]
         while stack:
-            block, res, start = stack.pop()
+            block, res, start, skipped = stack.pop()
             if res == 0:
-                left = tuple(x for x in others if x not in block)
+                left = skipped + others[start:]
                 out.append((piece(block, left), left))
             for j in range(len(others) - 1, start - 1, -1):
-                stack.append((block + (others[j],), (res + charges[others[j]]) % l, j + 1))
+                stack.append((
+                    block + (others[j],),
+                    (res + charges[others[j]]) % l,
+                    j + 1,
+                    skipped + others[start:j],
+                ))
         return out
 
-    if not charges:
-        return [head]
-    found = []
+    @lru_cache(maxsize=None)
+    def count(rest):
+        return sum(count(left) if left else 1 for _, left in table(rest))
 
-    def rec(rest, prefix):
+    def walk(rest, prefix, found):
         for p, left in table(rest):
             if left:
-                rec(left, prefix + p)
+                walk(left, prefix + p, found)
             else:
                 found.append(prefix + p)
+        return found
 
-    rec(tuple(range(len(charges))), head)
-    return found
+    items = tuple(range(len(charges)))
+    total = count(items)
+    firsts = table(items) if total else ()
+    return total, (walk(left, head + p, []) if left else [head + p] for p, left in firsts)
 
 
 def tone_partitions(charges, l):
     """A list of the partitions of range(len(charges)) whose blocks each
     have charge sum = 0 mod l (charges: a sequence of ints), as tuples of
     sorted block tuples, in increasing lexicographic order, by `_tone_walk`."""
-    return _tone_walk(charges, l, lambda block, left: (block,), ())
+    _, chunks = _tone_walk(charges, l, lambda block, left: (block,), ())
+    return [p for chunk in chunks for p in chunk]
 
 
 def sandwich_middles(a, b, l):
@@ -192,10 +211,11 @@ def basis_blocks(l, n, m):
 
 
 def basis_texts(l, n, m):
-    """The `serialize` text of every l-tone diagram of shape (n, m), in
-    canonical order, as a list.  The tone_partitions walk, but each block's
-    `T1,B2;` text is built once per remaining set, so a diagram costs one
-    concatenation per block."""
+    """(count, chunks) of `_tone_walk` for the `serialize` texts of the
+    l-tone diagrams of shape (n, m), in canonical order: one list of texts
+    per block holding T1.  Each block's `T1,B2;` text is built once per
+    remaining set, so a diagram costs one concatenation per block.  Sizes
+    are checked on the call, before any chunk is asked for."""
     if n < 0 or m < 0:
         raise dg.DiagramError("need n, m >= 0, got (%r, %r)" % (n, m))
     names = dg._vertex_names(n, m)

@@ -71,14 +71,17 @@ def validate(args):
     args.at = None if at is None else parse_rational(at)
 
 
-def _emit(args, text):
+def _emit(args, pieces):
+    """Write the pieces of one output, then a newline, to --out or standard
+    output.  --out is opened before the first piece is asked for, so a
+    generator of pieces starts no work for an unwritable path."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            # two writes: text + "\n" would copy the whole output once more
-            fh.write(text)
+            fh.writelines(pieces)
             fh.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _json(obj):
@@ -97,34 +100,51 @@ def cmd_compose(args):
     p = _parse_diagram("--p", args.p)
     q = _parse_diagram("--q", args.q)
     k, d = dg.compose(p, q)
-    _emit(args, _json({"delta_exponent": k, "diagram": dg.serialize(d)}))
+    _emit(args, [_json({"delta_exponent": k, "diagram": dg.serialize(d)})])
     return 0
 
 
 def cmd_basis(args):
+    m = args.n if args.m is None else args.m
+    _emit(args, _basis_pieces(args.l, args.n, m, args.format))
+    return 0
+
+
+def _basis_pieces(l, n, m, fmt):
+    """The basis output, written as the tone walk makes it: one piece per
+    chunk of `basis_texts`, so no piece holds the whole basis.  A generator,
+    so the walk starts once `_emit` has opened the output.
+
+    The JSON is `_json` of {"l", "n", "m", "count", "diagrams"} with the
+    texts quoted by hand.  That is exact: a diagram text uses only T, B,
+    digits, ',', ';' and '|', which json.dumps leaves unchanged.  A chunk
+    is never empty, and there are chunks exactly when count > 0."""
     from .algebra import basis_texts
 
-    n = args.n
-    m = n if args.m is None else args.m
     # texts straight from the tone-partition walk: no Diagram, no block tuples
-    diagrams = basis_texts(args.l, n, m)
-    if args.format == "csv":
-        _emit(args, "\n".join(["diagram"] + diagrams))
-    else:
-        _emit(
-            args,
-            _json({"l": args.l, "n": n, "m": m, "count": len(diagrams), "diagrams": diagrams}),
-        )
-    return 0
+    count, chunks = basis_texts(l, n, m)
+    if fmt == "csv":
+        yield "diagram"
+        for chunk in chunks:
+            yield "\n"
+            yield "\n".join(chunk)
+        return
+    yield '{"count":%d,"diagrams":[' % count
+    sep = '"'
+    for chunk in chunks:
+        yield sep
+        yield '","'.join(chunk)
+        sep = '","'
+    yield '%s],"l":%d,"m":%d,"n":%d}' % ('"' if count else "", l, m, n)
 
 
 def cmd_gamma(args):
     from . import gamma
 
     if args.format == "dot":
-        _emit(args, gamma.hasse_dot(args.l, args.n))
+        _emit(args, [gamma.hasse_dot(args.l, args.n)])
     else:
-        _emit(args, _json(gamma.gamma_report(args.l, args.n)))
+        _emit(args, [_json(gamma.gamma_report(args.l, args.n))])
     return 0
 
 
@@ -147,7 +167,7 @@ def cmd_module(args):
             name: [[e.to_json() for e in row] for row in mod.dense_action(d)]
             for name, d in sorted(generator_diagrams(args.l, args.n).items())
         }
-    _emit(args, _json(out))
+    _emit(args, [_json(out)])
     return 0
 
 
@@ -156,7 +176,7 @@ def cmd_gram(args):
 
     mu = parse_mu(args.mu, args.l, args.n)
     rep = gram_report(mu, args.l, args.n, point=args.at, want_det=args.det)
-    _emit(args, _json(rep))
+    _emit(args, [_json(rep)])
     return 0
 
 
@@ -170,14 +190,14 @@ def cmd_bratteli(args):
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(graph.to_csv() + "\n")
-    _emit(args, _json(graph.to_json()))
+    _emit(args, [_json(graph.to_json())])
     return 0
 
 
 def cmd_structure(args):
     from .structure import structure_report
 
-    _emit(args, _json(structure_report(args.l, args.n, args.at)))
+    _emit(args, [_json(structure_report(args.l, args.n, args.at))])
     return 0
 
 

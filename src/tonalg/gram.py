@@ -174,11 +174,12 @@ def contravariance_check(mu, l, n):
 
     G is symmetric, so block (j, c) of M_d^T G = (G M_d)^T is the transpose
     of block (c, j) of G M_d, and gram_times serves both sides; a generator
-    that is its own flip reuses its one product.  A diagram sends each
-    column block to at most one block, so every block of either side is
-    one monomial product or zero.  Equal blocks give equal matrices; the
-    converse holds as no product block is zero, each being an invertible
-    matrix times a stored Gram block.
+    that is its own flip reuses its one product, and each shared product is
+    transposed once per generator.  A diagram sends each column block to at
+    most one block, so every block of either side is one monomial product
+    or zero.  Equal blocks give equal matrices; the converse holds as no
+    product block is zero, each being an invertible matrix times a stored
+    Gram block.
     """
     g = gram_matrix(mu, l, n)
     mod = g.module
@@ -188,9 +189,16 @@ def contravariance_check(mu, l, n):
         right = left if fd == d else gram_times(g, mod.action_map(fd))
         if len(left) != len(right):
             return False
+        # the blocks share their products, so each is transposed once; left
+        # keeps every P alive, so no id is reused while it is a key
+        transposed = {}
         for (c, j), (k, P) in left.items():
             e = right.get((j, c))
-            if e is None or e[0] != k or e[1] != [list(col) for col in zip(*P)]:
+            if e is None or e[0] != k:
+                return False
+            if id(P) not in transposed:
+                transposed[id(P)] = [list(col) for col in zip(*P)]
+            if e[1] != transposed[id(P)]:
                 return False
     return True
 

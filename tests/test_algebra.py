@@ -109,6 +109,28 @@ def test_basis_texts_refuses_bad_sizes_before_iterating(l, n, m):
         basis_texts(l, n, m)
 
 
+def test_basis_texts_first_chunk_at_l1_is_bell():
+    # at l = 1 the first chunk is the partitions with {T1} a block: Bell(n+m-1)
+    for n, m in [(1, 0), (0, 1), (1, 1), (2, 3), (4, 4), (5, 5)]:
+        count, chunks = basis_texts(1, n, m)
+        assert count == bell(n + m), (n, m)
+        assert len(next(chunks)) == bell(n + m - 1), (n, m)
+
+
+def test_basis_texts_count_matches_its_chunks():
+    for l in range(1, 5):
+        for n in range(5):
+            for m in range(5):
+                count, chunks = basis_texts(l, n, m)
+                chunks = list(chunks)
+                assert count == sum(len(c) for c in chunks) == len(enumerate_basis(l, n, m)), (l, n, m)
+                # one nonempty chunk per first block, so the texts of a
+                # chunk share their first block and no two chunks do
+                firsts = [{t.partition("|")[2].split(";")[0] for t in c} for c in chunks]
+                assert all(len(f) == 1 for f in firsts), (l, n, m)
+                assert len(set().union(*firsts)) == len(chunks), (l, n, m)
+
+
 @pytest.mark.parametrize("l", [0, -2])
 def test_tone_partitions_refuses_l_below_one(l):
     with pytest.raises(dg.DiagramError):

@@ -353,6 +353,29 @@ def test_closed_output_pipe_exits_2_without_traceback(argv, read):
 
 
 @pytest.mark.parametrize("argv", [
+    ["basis", "--l", "0", "--n", "2"],
+    ["basis", "--l", "2", "--n", "-1"],
+    ["basis", "--l", "2", "--n", "2", "--m", "-1"],
+])
+def test_refused_basis_leaves_the_output_file(capsys, tmp_path, argv):
+    path = tmp_path / "basis.json"
+    path.write_bytes(b"kept\n")
+    assert main(argv + ["--out", str(path)]) == 2
+    assert path.read_bytes() == b"kept\n"
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_basis_output_is_refused_before_the_walk(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk ran before the output was opened")
+
+    monkeypatch.setattr(algebra, "_tone_walk", refuse)
+    target = str(tmp_path / "missing" / "out.json")
+    assert main(["basis", "--l", "1", "--n", "3", "--out", target]) == 2
+    assert target in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["basis", "--l", "2", "--n", "2", "--out"],
     ["bratteli", "--l", "2", "--n-max", "2", "--dot"],
     ["bratteli", "--l", "2", "--n-max", "2", "--csv"],

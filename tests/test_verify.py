@@ -173,3 +173,35 @@ def test_reduction_idempotent_fails_when_a_m_drops_below(monkeypatch, l, n):
     a_m = dg.a_m
     monkeypatch.setattr(verify.dg, "a_m", lambda m, l, n: dg.W(l, n) if m == top else a_m(m, l, n))
     assert not verify.check_reduction_idempotent(l, n)
+
+
+def _reversed_total_key(real):
+    def key(mvec):
+        height, rest = real(mvec)
+        return -height, tuple(-x for x in rest)
+
+    return key
+
+
+# check name -> (l, n, fault): each fault must turn the check's PASS at
+# (l, n) into a FAIL.  The unpatched run fills the per-process caches
+# first, so none of them keeps a faulty value.
+FAULTS = {
+    "sandwich-identities": (
+        2, 4, lambda mp: mp.setattr(dg, "a_m", lambda m, l, n: dg.identity(n))),
+    "total-order-and-chain": (
+        2, 4, lambda mp: mp.setattr(gamma, "total_key", _reversed_total_key(gamma.total_key))),
+    "index-set-split": (
+        2, 4, lambda mp: mp.setattr(gamma, "h_subset", lambda l, n: list(gamma.gamma_set(l, n)))),
+    "module-globalisation": (
+        2, 4, lambda mp: mp.setattr(sm, "embedded_profile", lambda profile, l, n_small: profile)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_an_injected_fault_fails_the_check(monkeypatch, name):
+    l, n, inject = FAULTS[name]
+    assert verify.run_verify(l, n, [name])[-1].ok
+    inject(monkeypatch)
+    res = verify.run_verify(l, n, [name])[-1]
+    assert (res.params, res.ok, res.error) == ("l=%d,n=%d" % (l, n), False, None)
