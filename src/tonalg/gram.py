@@ -1,6 +1,6 @@
 """Contravariant Gram matrices of standard modules over Z[delta], exact
-determinants and ranks, and semisimplicity verdicts at exact evaluation
-points.
+determinants, generic nondegeneracy proved from the sandwich exponents, and
+ranks and semisimplicity verdicts at exact evaluation points.
 
 The entry attached to basis pairs (t, v), (t', v') is read off the sandwich
 flip(t) * t': if its propagating vector drops the entry is zero; otherwise
@@ -8,7 +8,6 @@ the sandwich is delta^k times a matching permutation on the canonical
 layout and the entry is delta^k times the symmetric-group form value.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,6 +15,7 @@ from . import diagram as dg
 from . import gamma
 from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul
 from .standard_modules import (
+    InvariantError,
     standard_module,
     gram_table,
     generator_diagrams,
@@ -89,27 +89,25 @@ def gram_matrix(mu, l, n):
 # forms degenerate.
 GENERIC_POINT = 10 ** 6 + 3
 
-GramSummary = namedtuple("GramSummary", ["mu", "dim", "rank_at", "nondegenerate"])
 
+def generic_full_rank(mvec, l, n):
+    """True when gram_table's exponents prove det G != 0 in Z[delta] for
+    every label of mvec: each profile i has the diagonal sandwich (i, i,
+    k_i, identity), and every other entry (i, j, k, s) has 2k < k_i + k_j.
 
-def point_and_generic_rank(g):
-    """(rank at GENERIC_POINT, rank over Z[delta]) of a Gram matrix.  A full
-    rank at the point is the generic rank; only a deficient one, which is
-    just a lower bound, runs the elimination over Z[delta]."""
-    r = g.rank_at(GENERIC_POINT)
-    return r, r if r == g.dim else bareiss_det(g.dense())[0]
-
-
-@lru_cache(maxsize=None)
-def gram_summary(l, n):
-    """One GramSummary per label at (l, n), cached like gram_matrix."""
-    out = []
-    for mu in all_labels(l, n):
-        g = gram_matrix(mu, l, n)
-        r, generic = point_and_generic_rank(g)
-        # a square matrix has det != 0 exactly when its generic rank is full
-        out.append(GramSummary(g.mu, g.dim, r, generic == g.dim))
-    return tuple(out)
+    Proof.  Block (i, j) of G is delta^k F M(s) and block (j, i) its
+    transpose, F = E^T E being the label's tableau form and M(s) the matrix
+    of s; the diagonal blocks are delta^k_i F.  With D = diag(delta^k_i),
+    D^-1/2 G D^-1/2 scales both by delta^(k - (k_i + k_j)/2), which tends
+    to 0 as delta -> oo, while its diagonal blocks are F.  So
+    delta^-(r K) det G -> det(F)^|T(m)|, with r = dim F and K = sum k_i;
+    F is positive definite, so det G has degree r K and leading coefficient
+    det(F)^|T(m)| > 0.  No matrix is built and nothing is eliminated.
+    """
+    table = gram_table(mvec, l, n)
+    diag = {i: k for i, j, k, s in table if i == j and all(p == tuple(range(len(p))) for p in s)}
+    return len(diag) == len(transversal(mvec, l, n)) and all(
+        i == j or 2 * k < diag[i] + diag[j] for i, j, k, _ in table)
 
 
 def is_semisimple_at(l, n, point):
@@ -218,8 +216,10 @@ def gram_report(mu, l, n, point=None, want_det=False):
         out["generic_rank"], det = bareiss_det(entries)
         out["det"] = det.to_json()
         out["det_str"] = str(det)
+    elif generic_full_rank(g.module.mvec, l, n):
+        out["generic_rank"] = g.dim
     else:
-        out["generic_rank"] = point_and_generic_rank(g)[1]
+        raise InvariantError("gram_table breaks degree dominance for %r" % (g.mu,))
     if point is not None:
         out["rank_at"] = g.rank_at(point)
         out["at"] = str(point)

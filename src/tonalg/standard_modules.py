@@ -38,7 +38,7 @@ from .symmetric import (
 
 
 class InvariantError(AssertionError):
-    """A reduction met a diagram that contradicts the bottleneck order."""
+    """A result that a theorem rules out: a bug, not an answer."""
 
 
 def _require_vector(mvec, l, n):

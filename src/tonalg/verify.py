@@ -10,6 +10,7 @@ from collections import namedtuple
 
 from . import diagram as dg
 from . import gamma
+from . import gram
 from .algebra import corner_iso_check
 from .exactla import identity_matrix
 from .standard_modules import (
@@ -25,7 +26,7 @@ from .standard_modules import (
     map_product,
     transversal_diagrams,
 )
-from .gram import gram_summary, contravariance_check, top_layer_check
+from .gram import contravariance_check, generic_full_rank, top_layer_check
 from .branching import classified_dim_checks, submodule_closure_check
 from .structure import (
     section_checks,
@@ -183,15 +184,9 @@ def check_index_split(l, n):
 
 
 def check_gram_nondegenerate(l, n):
-    return all(s.nondegenerate for s in gram_summary(l, n))
-
-
-# a square matrix has full generic rank exactly when its det is nonzero
-check_generic_rank = check_gram_nondegenerate
-
-
-def check_semisimple_generic_point(l, n):
-    return all(s.rank_at == s.dim for s in gram_summary(l, n))
+    """det G != 0, hence full generic rank, for every label, proved from
+    gram_table's exponents one vector at a time."""
+    return all(generic_full_rank(m, l, n) for m in gamma.gamma_set(l, n))
 
 
 def check_contravariance(l, n):
@@ -288,8 +283,8 @@ CHECKS = [
     ("sum-of-squares", sum_of_squares_check),
     ("generator-relations", check_generator_relations),
     ("gram-nondegenerate", check_gram_nondegenerate),
-    ("gram-generic-rank", check_generic_rank),
-    ("semisimple-generic-point", check_semisimple_generic_point),
+    ("gram-generic-rank", check_gram_nondegenerate),
+    ("semisimple-generic-point", lambda l, n: gram.is_semisimple_at(l, n, gram.GENERIC_POINT)),
     ("gram-top-layer", top_layer_check),
     ("form-contravariance", check_contravariance),
     ("corner-compression", check_corner_compression),

@@ -15,7 +15,7 @@ from tonalg.branching import (
     leak_check,
 )
 from tonalg.exactla import bareiss_det
-from tonalg.gram import GENERIC_POINT, gram_matrix, gram_summary
+from tonalg.gram import GENERIC_POINT, generic_full_rank, gram_matrix, is_semisimple_at
 from tonalg.standard_modules import (
     all_labels,
     standard_dim,
@@ -82,9 +82,10 @@ def test_criterion_06_generic_semisimplicity():
     ok = True
     for l in (2, 3):
         for n in range(0, 5):
-            for s in gram_summary(l, n):
-                if not s.nondegenerate or s.rank_at != s.dim:
-                    ok = False
+            if not all(generic_full_rank(m, l, n) for m in gamma.gamma_set(l, n)):
+                ok = False
+            if not is_semisimple_at(l, n, GENERIC_POINT):
+                ok = False
     report(6, ok, "full generic ranks and semisimplicity at the surrogate point %d" % GENERIC_POINT)
 
 

@@ -8,6 +8,7 @@ from tonalg import diagram as dg
 from tonalg import exactla
 from tonalg import gamma
 from tonalg import gram as gr
+from tonalg import verify
 from tonalg.cli import main
 from tonalg.deltapoly import DeltaPoly
 from tonalg.exactla import bareiss_det, fraction_rank
@@ -89,24 +90,6 @@ def fraction_rank_oracle(M):
     return r
 
 
-class DenseGram:
-    """A Gram matrix given by its dense entries."""
-
-    mu = ((1,), ())
-
-    def __init__(self, entries):
-        self.entries = poly_mat(entries)
-        self.dim = len(entries)
-
-    def dense(self):
-        return self.entries
-
-    def evaluate(self, x):
-        return [[e.evaluate(x) for e in row] for row in self.entries]
-
-    rank_at = gr.GramMatrix.rank_at
-
-
 @lru_cache(maxsize=None)
 def _grams(l, n):
     return tuple(gr.gram_matrix(mu, l, n) for mu in all_labels(l, n))
@@ -171,8 +154,23 @@ def test_diagonal_degree_dominates_row():
 
 def test_det_nonzero_small_range():
     for l, n in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (1, 3)]:
-        for s in gr.gram_summary(l, n):
-            assert s.nondegenerate and s.rank_at == s.dim, (l, n, s.mu)
+        assert all(gr.generic_full_rank(m, l, n) for m in gamma.gamma_set(l, n)), (l, n)
+        for g in _grams(l, n):
+            assert g.rank_at(gr.GENERIC_POINT) == g.dim, (l, n, g.mu)
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (1, 4), (2, 4), (3, 5), (2, 5)])
+def test_degree_dominance_predicts_the_determinant(l, n):
+    # the proof in generic_full_rank gives deg det G = r * sum k_i and the
+    # leading coefficient det(F)^|T(m)|, read off gram_table's diagonal
+    for g in _grams(l, n):
+        mvec, rep = g.module.mvec, g.module.rep
+        assert gr.generic_full_rank(mvec, l, n), (l, n, g.mu)
+        K = sum(k for i, j, k, _ in gr.gram_table(mvec, l, n) if i == j)
+        det_f = bareiss_det(poly_mat(rep.form))[1].evaluate(0)
+        det = bareiss_det(g.dense())[1]
+        assert max(det.c) == rep.dim * K, (l, n, g.mu)
+        assert det.c[rep.dim * K] == det_f ** len(g.rows), (l, n, g.mu)
 
 
 def test_generic_rank_full():
@@ -242,37 +240,17 @@ def test_elimination_of_singular_and_nonsquare_matrices():
     assert bareiss_det(big) == (2, d * d - (2 ** 122 + 1)) == poly_bareiss_oracle(big)
 
 
-def test_certificate_falls_back_to_elimination():
-    # rank 0 at the generic point, yet delta - P is a nonzero polynomial
-    entries = [[DeltaPoly.delta(1) - gr.GENERIC_POINT]]
-    assert gr.point_and_generic_rank(DenseGram(entries)) == (0, 1)
+def test_degree_dominance_builds_no_matrix_and_takes_no_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("degree dominance reads only gram_table")
 
-
-def test_certificate_rejects_generically_singular_matrix():
-    d = DeltaPoly.delta(1)
-    entries = poly_mat([[d, 1, 2], [d, 1, 2], [1, d, d * d]])
-    assert gr.point_and_generic_rank(DenseGram(entries)) == (2, 2)
-
-
-def test_gram_summary_builds_each_label_once_without_elimination(monkeypatch):
-    builds = []
-    init = gr.GramMatrix.__init__
-
-    def counted(self, *args):
-        builds.append(args)
-        init(self, *args)
-
-    def no_elimination(entries):
-        raise AssertionError("full rank at the point needs no elimination")
-
-    monkeypatch.setattr(gr.GramMatrix, "__init__", counted)
-    monkeypatch.setattr(gr, "bareiss_det", no_elimination)
-    gr.gram_summary.cache_clear()
+    monkeypatch.setattr(gr.GramMatrix, "__init__", refuse)
+    for mod in (exactla, gr):
+        monkeypatch.setattr(mod, "fraction_rank", refuse)
+        monkeypatch.setattr(mod, "bareiss_det", refuse)
     gr.gram_matrix.cache_clear()
-    first = gr.gram_summary(2, 4)
-    assert gr.gram_summary(2, 4) is first
-    assert sorted(builds) == sorted((mu, 2, 4) for mu in all_labels(2, 4))
-    assert [s.rank_at for s in first] == [gr.gram_matrix(s.mu, 2, 4).rank_at(gr.GENERIC_POINT) for s in first]
+    results = verify.run_verify(2, 4, ["gram-nondegenerate", "gram-generic-rank"])
+    assert [(r.ok, r.error) for r in results[-2:]] == [(True, None)] * 2
 
 
 def test_modular_instance_ranks():
@@ -393,9 +371,9 @@ def _label_text(mu):
 
 @pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5)])
 def test_gram_cli_without_det_matches_elimination_rank(capsys, l, n):
-    # without --det the generic rank comes from a point rank when that is
-    # full; the output must still be the --det output less the det keys,
-    # with the rank of the elimination over Z[delta]
+    # without --det the generic rank comes from degree dominance; the output
+    # must still be the --det output less the det keys, with the rank of the
+    # elimination over Z[delta]
     for mu in all_labels(l, n):
         argv = ["gram", "--l", str(l), "--n", str(n), "--mu=" + _label_text(mu)]
         assert main(argv) == 0
@@ -409,35 +387,13 @@ def test_gram_cli_without_det_matches_elimination_rank(capsys, l, n):
 
 def test_gram_cli_without_det_runs_no_elimination(capsys, monkeypatch):
     def no_elimination(entries):
-        raise AssertionError("full rank at the point needs no elimination")
+        raise AssertionError("the generic rank needs no elimination and no rank")
 
-    monkeypatch.setattr(exactla, "bareiss_det", no_elimination)
-    monkeypatch.setattr(gr, "bareiss_det", no_elimination)
+    for mod in (exactla, gr):
+        monkeypatch.setattr(mod, "bareiss_det", no_elimination)
+        monkeypatch.setattr(mod, "fraction_rank", no_elimination)
     assert main(["gram", "--l", "2", "--n", "4", "--mu=2|1"]) == 0
     assert json.loads(capsys.readouterr().out)["generic_rank"] > 0
-
-
-class _StubGram(DenseGram):
-    # generic rank 2, but rank 1 at GENERIC_POINT
-    def __init__(self):
-        super().__init__(_STUB_ENTRIES)
-
-
-_STUB_ENTRIES = poly_mat([[DeltaPoly.delta(1) - gr.GENERIC_POINT, 0], [0, 1]])
-
-
-def test_gram_report_deficient_point_rank_falls_back_to_elimination(monkeypatch):
-    calls = []
-
-    def counted(entries):
-        calls.append(entries)
-        return bareiss_det(entries)
-
-    monkeypatch.setattr(gr, "gram_matrix", lambda mu, l, n: _StubGram())
-    monkeypatch.setattr(gr, "bareiss_det", counted)
-    assert fraction_rank(_StubGram().evaluate(gr.GENERIC_POINT)) == 1
-    assert gr.gram_report(_StubGram.mu, 2, 1)["generic_rank"] == 2
-    assert calls == [_STUB_ENTRIES]
 
 
 @pytest.mark.parametrize("l,n", [(1, 3), (2, 4), (3, 5), (2, 5)])

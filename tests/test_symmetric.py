@@ -115,7 +115,9 @@ def test_form_nondegenerate_over_q():
     rep = sym.specht_rep((2, 1))
     a, b, c, d = rep.form[0][0], rep.form[0][1], rep.form[1][0], rep.form[1][1]
     assert a * d - b * c != 0
-    for k in range(1, 7):
+    # generic_full_rank's proof rests on det F != 0; k <= 7 covers the
+    # Specht factors of the (3,7), (2,7) and (1,6) batteries
+    for k in range(1, 8):
         for lam in sym.partitions_of(k):
             r = sym.specht_rep(lam)
             assert fraction_rank(r.form) == r.dim

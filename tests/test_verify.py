@@ -2,8 +2,10 @@ import pytest
 
 from tonalg import diagram as dg
 from tonalg import gamma
+from tonalg import gram as gr
 from tonalg import verify
 from tonalg.algebra import enumerate_basis, sandwich_middles
+from tonalg.exactla import bareiss_det
 from tonalg import standard_modules as sm
 from tonalg import structure as st
 from tonalg.standard_modules import polar_decompose, transversal
@@ -183,6 +185,38 @@ def _reversed_total_key(real):
     return key
 
 
+def _duplicate_a_profile(mp):
+    """Patch gram.gram_table at (2, 4) so that, in a top-layer vector, whose
+    table holds only the diagonal, profile 1 copies profile 0: the entry
+    (0, 1, k_0, identity), k_0 = k_1, makes rows 0 and 1 of its Gram
+    matrices equal.  Returns the vector."""
+    real = gr.gram_table
+    l, n = 2, 4
+    mvec = next(m for m in gamma.h_subset(l, n) if len(transversal(m, l, n)) > 1)
+    table = real(mvec, l, n)
+    table += ((0, 1) + table[0][2:],)
+    mp.setattr(gr, "gram_table", lambda m, *a: table if m == mvec else real(m, *a))
+    return mvec
+
+
+def test_a_duplicated_profile_makes_the_gram_singular(monkeypatch):
+    # the fault of the two Gram lines below is a real singular Gram matrix,
+    # which the proof must refuse and gram_report must not answer for
+    l, n = 2, 4
+    mvec = _duplicate_a_profile(monkeypatch)
+    # no singular matrix may stay in the per-process cache
+    monkeypatch.setattr(gr, "gram_matrix", gr.GramMatrix)
+    assert not gr.generic_full_rank(mvec, l, n)
+    labels = [mu for mu in sm.all_labels(l, n) if tuple(map(sum, mu)) == mvec]
+    assert labels
+    for mu in labels:
+        g = gr.GramMatrix(mu, l, n)
+        rank, det = bareiss_det(g.dense())
+        assert not det and rank < g.dim, mu
+        with pytest.raises(sm.InvariantError):
+            gr.gram_report(mu, l, n)
+
+
 # check name -> (l, n, fault): each fault must turn the check's PASS at
 # (l, n) into a FAIL.  The unpatched run fills the per-process caches
 # first, so none of them keeps a faulty value.
@@ -195,6 +229,10 @@ FAULTS = {
         2, 4, lambda mp: mp.setattr(gamma, "h_subset", lambda l, n: list(gamma.gamma_set(l, n)))),
     "module-globalisation": (
         2, 4, lambda mp: mp.setattr(sm, "embedded_profile", lambda profile, l, n_small: profile)),
+    "gram-nondegenerate": (2, 4, _duplicate_a_profile),
+    "gram-generic-rank": (2, 4, _duplicate_a_profile),
+    # is_semisimple_at(2, 3, 1) is False: delta = 1 is a root of a Gram det
+    "semisimple-generic-point": (2, 3, lambda mp: mp.setattr(gr, "GENERIC_POINT", 1)),
 }
 
 
