@@ -3,6 +3,7 @@ action over Z[delta], and the sum-of-squares dimension identity."""
 
 from tonalg import diagram as dg
 from tonalg.algebra import enumerate_basis
+from tonalg.exactla import poly_str
 from tonalg.standard_modules import (
     all_labels,
     generator_diagrams,
@@ -27,7 +28,7 @@ mod = standard_module(((1,), (1,)), 2, 3)
 for name, d in sorted(generator_diagrams(2, 3).items()):
     print("  %s:" % name)
     for row in mod.dense_action(d):
-        print("    [%s]" % ", ".join(str(e) for e in row))
+        print("    [%s]" % ", ".join(poly_str(e) for e in row))
 
 print()
 print("== dimension bookkeeping: dim algebra = sum of squared module dims ==")

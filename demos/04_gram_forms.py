@@ -3,7 +3,7 @@ rank drops at special parameter values."""
 
 from fractions import Fraction
 
-from tonalg.exactla import bareiss_det
+from tonalg.exactla import bareiss_det, poly_str
 from tonalg.gram import (
     GENERIC_POINT,
     generic_full_rank,
@@ -16,9 +16,9 @@ print("== the 4x4 Gram matrix of the module ((1),-) at l=2, n=3 ==")
 g = gram_matrix(((1,), ()), 2, 3)
 entries = g.dense()
 for row in entries:
-    print("  [%s]" % ", ".join("%6s" % str(e) for e in row))
+    print("  [%s]" % ", ".join("%6s" % poly_str(e) for e in row))
 rank, det = bareiss_det(entries)
-print("determinant:", det)
+print("determinant:", poly_str(det))
 print("generic rank:", rank, "of", g.dim)
 
 print()
@@ -38,7 +38,7 @@ for mu in all_labels(2, 3):
     degree = r * sum(k for i, j, k, _ in gram_table(mvec, 2, 3) if i == j)
     det = bareiss_det(g.dense())[1]
     print("  %-16s dim %d, proof %s, predicted degree %d; det %s, degree %d"
-          % (mu, g.dim, proof, degree, det, max(det.c)))
+          % (mu, g.dim, proof, degree, poly_str(det), max(det)))
 
 print()
 print("== semisimplicity verdicts ==")

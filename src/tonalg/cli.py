@@ -149,6 +149,7 @@ def cmd_gamma(args):
 
 
 def cmd_module(args):
+    from .exactla import poly_json
     from .standard_modules import standard_module, generator_diagrams
 
     mu = parse_mu(args.mu, args.l, args.n)
@@ -164,7 +165,7 @@ def cmd_module(args):
     }
     if args.matrices:
         out["generators"] = {
-            name: [[e.to_json() for e in row] for row in mod.dense_action(d)]
+            name: [[poly_json(e) for e in row] for row in mod.dense_action(d)]
             for name, d in sorted(generator_diagrams(args.l, args.n).items())
         }
     _emit(args, [_json(out)])
@@ -205,7 +206,8 @@ def cmd_verify(args):
     from .verify import run_verify, CHECK_NAMES
 
     names = None
-    if args.only:
+    # an empty --only names the check '', which is refused like any unknown
+    if args.only is not None:
         names = [s.strip() for s in args.only.split(",")]
         unknown = [s for s in names if s not in CHECK_NAMES]
         if unknown:

@@ -1,12 +1,14 @@
 """Small exact linear algebra helpers: integer/polynomial/rational matrices
 as lists of lists, and ranks and determinants from one fraction-free
 (Bareiss) elimination over the integers.
+
+A polynomial in delta is a dict {exponent: coefficient} of ints with no
+zero coefficient; {} is zero.  This module fills, eliminates and formats
+them; nothing in the library does arithmetic on them.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
-
-from .deltapoly import DeltaPoly
 
 
 def identity_matrix(d):
@@ -45,18 +47,41 @@ def kron(A, B):
 
 
 def block_matrix(blocks, nb, r):
-    """The dense (nb*r) x (nb*r) DeltaPoly matrix of blocks given as
+    """The dense (nb*r) x (nb*r) polynomial matrix of blocks given as
     (i, j, k, B): block (i, j) is delta^k times the r x r integer matrix B,
-    and a block not given is zero.  For output only."""
-    zero = DeltaPoly.zero()
+    and a block not given is zero.  For output and elimination only: the
+    zero entries are one shared {} and must not be changed."""
+    zero = {}
     M = [[zero] * (nb * r) for _ in range(nb * r)]
     for i, j, k, B in blocks:
         for a, row in enumerate(B):
             out = M[i * r + a]
             for b, v in enumerate(row):
                 if v:
-                    out[j * r + b] = DeltaPoly.delta(k, v)
+                    out[j * r + b] = {k: v}
     return M
+
+
+def poly_json(c):
+    """A polynomial as JSON: string keys, so that sort_keys orders them as
+    text, as the output always has."""
+    return {str(k): v for k, v in sorted(c.items())}
+
+
+def poly_str(c):
+    """A polynomial as text, highest power first: "d^3 - 3*d^2 + 3*d - 1"."""
+    out = ""
+    for k in sorted(c, reverse=True):
+        v = c[k]
+        if out:
+            out += " - " if v < 0 else " + "
+        elif v < 0:
+            out = "-"
+        if k == 0 or abs(v) != 1:
+            out += str(abs(v)) + ("*" if k else "")
+        if k:
+            out += "d" if k == 1 else "d^%d" % k
+    return out or "0"
 
 
 def _bareiss(A):
@@ -95,13 +120,13 @@ def _packing_width(P):
     """b with 2H < 2**b, for H the bound in `bareiss_det`."""
     H = 1
     for row in P:
-        s = sum(sum(abs(c) for c in p.c.values()) ** 2 for p in row)
+        s = sum(sum(map(abs, p.values())) ** 2 for p in row)
         H *= isqrt(max(s, 1) - 1) + 1
     return (2 * H).bit_length()
 
 
 def bareiss_det(M):
-    """(rank over Q(delta), determinant) of a DeltaPoly matrix, exactly, by
+    """(rank over Q(delta), determinant) of a polynomial matrix, exactly, by
     one integer elimination after the substitution delta = B = 2**b.
 
     Evaluation at B is a ring homomorphism, so each minor m of M maps to the
@@ -114,10 +139,10 @@ def bareiss_det(M):
     back from det M(B) as its balanced base-B digits.  A negative exponent
     raises ValueError.
     """
-    if any(k < 0 for row in M for p in row for k in p.c):
+    if any(k < 0 for row in M for p in row for k in p):
         raise ValueError("bareiss_det needs polynomials in delta, not negative powers")
     b = _packing_width(M)
-    rank, N = _bareiss([[sum(c << (k * b) for k, c in p.c.items()) for p in row] for row in M])
+    rank, N = _bareiss([[sum(c << (k * b) for k, c in p.items()) for p in row] for row in M])
     mask, half = (1 << b) - 1, 1 << (b - 1)
     coeffs = {}
     k = 0
@@ -125,10 +150,11 @@ def bareiss_det(M):
         c = N & mask
         if c >= half:
             c -= 1 << b
-        coeffs[k] = c
+        if c:
+            coeffs[k] = c
         N = (N - c) >> b
         k += 1
-    return rank, DeltaPoly(coeffs)
+    return rank, coeffs
 
 
 def fraction_rank(M):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import diagram as dg
 from . import gamma
-from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul
+from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul, poly_json, poly_str
 from .standard_modules import (
     InvariantError,
     standard_module,
@@ -57,7 +57,7 @@ class GramMatrix:
         return ((i, j, k, X) for i, row in enumerate(self.rows) for j, (k, X) in row.items())
 
     def dense(self):
-        """The dim x dim DeltaPoly matrix, for output and elimination."""
+        """The dim x dim polynomial matrix, for output and elimination."""
         return block_matrix(self.blocks(), len(self.rows), self.module.rep.dim)
 
     def evaluate(self, x):
@@ -202,24 +202,25 @@ def contravariance_check(mu, l, n):
 
 
 def gram_report(mu, l, n, point=None, want_det=False):
-    """JSON-ready Gram data for the command line front end."""
+    """JSON-ready Gram data for the command line front end.  The generic
+    rank is dim, by generic_full_rank's proof; InvariantError if the proof
+    fails, as a theorem failing is a bug, not an answer."""
     g = gram_matrix(mu, l, n)
+    if not generic_full_rank(g.module.mvec, l, n):
+        raise InvariantError("gram_table breaks degree dominance for %r" % (g.mu,))
     entries = g.dense()
     out = {
         "mu": [list(lam) for lam in g.mu],
         "l": l,
         "n": n,
         "dim": g.dim,
-        "entries": [[e.to_json() for e in row] for row in entries],
+        "generic_rank": g.dim,
+        "entries": [[poly_json(e) for e in row] for row in entries],
     }
     if want_det:
-        out["generic_rank"], det = bareiss_det(entries)
-        out["det"] = det.to_json()
-        out["det_str"] = str(det)
-    elif generic_full_rank(g.module.mvec, l, n):
-        out["generic_rank"] = g.dim
-    else:
-        raise InvariantError("gram_table breaks degree dominance for %r" % (g.mu,))
+        det = bareiss_det(entries)[1]
+        out["det"] = poly_json(det)
+        out["det_str"] = poly_str(det)
     if point is not None:
         out["rank_at"] = g.rank_at(point)
         out["at"] = str(point)

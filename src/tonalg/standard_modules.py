@@ -305,7 +305,7 @@ class StandardModule:
         )
 
     def dense_action(self, d):
-        """The dim x dim DeltaPoly matrix of d's action, for output."""
+        """The dim x dim polynomial matrix of d's action, for output."""
         blocks = ((e[0], j) + e[1:] for j, e in enumerate(self.action_map(d)) if e)
         return block_matrix(blocks, len(self.profiles), self.rep.dim)
 

@@ -3,17 +3,17 @@ over vertices and the flip by vertex names, a generic set-partition
 generator, the transversal as a filter over every set partition, the
 three-sort polar decomposition and the matching diagram it inverts, the
 left-ideal reduction of an element, restriction to a range of strands,
-dense Z[delta] matrices: their product and equality, each diagram's action
-matrix and each Gram matrix built entry by entry, and the corner
-isomorphism checked on every ordered pair.  None of these is used by the
-library."""
+arithmetic in Z[delta] and dense Z[delta] matrices: their product and
+equality, each diagram's action matrix and each Gram matrix built entry by
+entry, and the corner isomorphism checked on every ordered pair.  None of
+these is used by the library."""
 
+from fractions import Fraction
 from itertools import combinations
 
 from tonalg import diagram as dg
 from tonalg.algebra import corner_images, enumerate_basis
-from tonalg.deltapoly import DeltaPoly
-from tonalg.exactla import int_mat_mul
+from tonalg.exactla import int_mat_mul, poly_str
 from tonalg.standard_modules import (
     decompose_left_term,
     layout,
@@ -176,15 +176,71 @@ def plain_flip(p):
     return dg.make_diagram(p.m, p.n, blocks)
 
 
+class Poly(dict):
+    """A polynomial in delta in the library's {exponent: coefficient} form,
+    with the arithmetic the library leaves out: + - *, evaluation, and an
+    equality and a hash under which a constant is its int.  The library's
+    plain dicts mix in freely.  Treated as immutable."""
+
+    def __init__(self, coeffs=()):
+        super().__init__((k, v) for k, v in dict(coeffs).items() if v)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = Poly({0: other})
+        return isinstance(other, dict) and dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        return hash(self.get(0, 0) if self.keys() <= {0} else frozenset(self.items()))
+
+    def __add__(self, other):
+        out = dict(self)
+        for k, v in as_poly(other).items():
+            out[k] = out.get(k, 0) + v
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({k: -v for k, v in self.items()})
+
+    def __sub__(self, other):
+        return self + -as_poly(other)
+
+    def __mul__(self, other):
+        out = {}
+        for ka, va in self.items():
+            for kb, vb in as_poly(other).items():
+                out[ka + kb] = out.get(ka + kb, 0) + va * vb
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def evaluate(self, x):
+        """The value at an exact point x (int or Fraction)."""
+        return sum((v * Fraction(x) ** k for k, v in self.items()), Fraction(0))
+
+    __str__ = poly_str
+
+
+def as_poly(x):
+    """An int or a polynomial dict as a Poly."""
+    return x if isinstance(x, Poly) else Poly(x if isinstance(x, dict) else {0: x})
+
+
 def poly_mat(M):
-    """Coerce an int/DeltaPoly matrix to an all-DeltaPoly matrix."""
-    return [[x if isinstance(x, DeltaPoly) else DeltaPoly.const(x) for x in row] for row in M]
+    """Coerce a matrix of ints and polynomial dicts to an all-Poly matrix."""
+    return [[as_poly(x) for x in row] for row in M]
 
 
 def poly_mat_mul(A, B):
     A, B = poly_mat(A), poly_mat(B)
     rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[DeltaPoly.zero() for _ in range(cols)] for _ in range(rows)]
+    out = [[Poly() for _ in range(cols)] for _ in range(rows)]
     for i in range(rows):
         for t in range(inner):
             a = A[i][t]
@@ -208,12 +264,12 @@ def _profile_diagrams(mod):
 
 
 def dense_action(mod, d):
-    """The dim x dim DeltaPoly matrix of a diagram acting on a standard
+    """The dim x dim Poly matrix of a diagram acting on a standard
     module, written entry by entry: each transversal diagram composed with
     d, reduced into the left ideal, with the slot matching acting on the
     tableau factor."""
     r = mod.rep.dim
-    M = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
+    M = [[Poly() for _ in range(mod.dim)] for _ in range(mod.dim)]
     index = {p: i for i, p in enumerate(mod.profiles)}
     for tj, tdiag in enumerate(_profile_diagrams(mod)):
         k, q = dg.compose(d, tdiag)
@@ -226,7 +282,7 @@ def dense_action(mod, d):
         for a in range(r):
             for b in range(r):
                 if blk[a][b]:
-                    M[ti * r + a][tj * r + b] += DeltaPoly.delta(k, blk[a][b])
+                    M[ti * r + a][tj * r + b] += Poly({k: blk[a][b]})
     return M
 
 
@@ -235,7 +291,7 @@ def ordered_pair_gram(mu, l, n):
     pair (i, j) of transversal diagrams, with no use of symmetry."""
     mod = standard_module(mu, l, n)
     r = mod.rep.dim
-    entries = [[DeltaPoly.zero() for _ in range(mod.dim)] for _ in range(mod.dim)]
+    entries = [[Poly() for _ in range(mod.dim)] for _ in range(mod.dim)]
     exps = {}
     ts = _profile_diagrams(mod)
     for i, ti in enumerate(ts):
@@ -251,7 +307,7 @@ def ordered_pair_gram(mu, l, n):
             for a in range(r):
                 for b in range(r):
                     if blk[a][b]:
-                        entries[i * r + a][j * r + b] = DeltaPoly.delta(k, blk[a][b])
+                        entries[i * r + a][j * r + b] = Poly({k: blk[a][b]})
     return entries, exps
 
 

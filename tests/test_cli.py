@@ -111,6 +111,24 @@ def test_basis_output_matches_benchmark_digests(tmp_path):
         assert json.loads(data)["count"] == exp["count"], key
 
 
+def test_gram_output_matches_benchmark_record(capsys):
+    # the record that perfbench/run.py checks its gram steps against: --det
+    # once per label, then --at at each recorded point
+    with open(os.path.join(ROOT, "perfbench", "expected.json")) as fh:
+        expected = json.load(fh)["gram"]
+    assert len(expected) == 17
+    for key, exp in sorted(expected.items()):
+        l, n, mu = key.split(",", 2)
+        argv = ["gram", "--l", l, "--n", n, "--mu=" + mu]
+        code, out = run_cli(capsys, argv + ["--det"])
+        got = json.loads(out)
+        assert code == 0 and all(got[k] == exp[k] for k in ("dim", "generic_rank", "det")), key
+        assert len(exp["rank_at"]) == 6
+        for point, rank in exp["rank_at"].items():
+            code, out = run_cli(capsys, argv + ["--at=" + point])
+            assert (code, json.loads(out)["rank_at"]) == (0, rank), (key, point)
+
+
 def test_gamma_json_matches_worked_levels(capsys):
     code, out = run_cli(capsys, ["gamma", "--l", "3", "--n", "8"])
     assert code == 0
@@ -231,6 +249,7 @@ def test_verify_error_is_not_a_failure(capsys, monkeypatch):
     ["verify", "--l", "2", "--n-max", "-1"],
     ["verify", "--l", "2", "--n-max", "2", "--only", "nope"],
     ["verify", "--l", "2", "--n-max", "2", "--only", "sum-of-squares,"],
+    ["verify", "--l", "2", "--n-max", "2", "--only="],
 ])
 def test_bad_input_is_refused_with_one_line(capsys, argv):
     code = main(argv)
@@ -279,7 +298,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "tonalg")))
 """
 BASIS_MODULES = {"cli", "diagram", "algebra"}
 # gram reads no basis, so it loads no algebra
-GRAM_MODULES = {"cli", "diagram", "deltapoly", "exactla", "gamma", "gram", "standard_modules", "symmetric"}
+GRAM_MODULES = {"cli", "diagram", "exactla", "gamma", "gram", "standard_modules", "symmetric"}
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -95,8 +95,8 @@ def unread_definitions(modules, readers=()):
 
     Module-level names resolve per module (see `module_reads`), so a local
     variable that shares a def's name elsewhere does not read it.  Methods
-    match by name alone: `DeltaPoly.evaluate` counts as read through any
-    `.evaluate`, `GramMatrix.evaluate` included."""
+    match by name alone: `SpechtRep.matrix` counts as read through any
+    `.matrix`, `OuterRep.matrix` included."""
     trees = {module: ast.parse(text) for module, text in modules.items()}
     others = [ast.parse(text) for text in readers]
     reads, attrs = Counter(), Counter()

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import pytest
 
+from tonalg import algebra
+from tonalg import branching as br
 from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg import gram as gr
@@ -61,26 +65,8 @@ def test_pair_outcome_is_fixed_by_signatures(l, n):
             assert pair_outcome(a, b, l) == rep_outcome[left_sig[a], right_sig[b]], (a, b)
 
 
-def test_an_under_count_fails_the_counting_checks(monkeypatch):
-    names = ["basis-vector-partition", "sum-of-squares", "heredity-sections"]
-    assert all(r.ok for r in verify.run_verify(2, 4, names))
-    counts = dict(sm.vector_counts(2, 4))
-    counts[(2, 0)] -= 1
-    for mod in (sm, st):
-        monkeypatch.setattr(mod, "vector_counts", lambda l, n: counts)
-    results = verify.run_verify(2, 4, names)[-3:]
-    assert [(r.params, r.ok, r.error) for r in results] == [("l=2,n=4", False, None)] * 3
-
-
 def test_a_wrong_delta_exponent_fails_the_samplers(monkeypatch):
-    real = dg.compose
-
-    def off_by_parity(p, q):
-        # the exponent is off by the parity of the right factor's block count
-        k, d = real(p, q)
-        return k + len(q.blocks) % 2, d
-
-    monkeypatch.setattr(dg, "compose", off_by_parity)
+    _off_by_parity(monkeypatch)
     assert not verify.check_associativity(2, 4)
     assert not verify.check_flip_antiautomorphism(2, 4)
 
@@ -103,7 +89,7 @@ def test_a_non_tone_basis_diagram_is_an_error_in_tone_closure(monkeypatch):
 
 
 def test_wrong_products_break_the_bottleneck(monkeypatch):
-    monkeypatch.setattr(verify.dg, "compose", lambda p, q: (0, dg.identity(p.n)))
+    _constant_products(monkeypatch)
     tone_ok, bottleneck_ok = pairwise_closure(2, 3)
     assert tone_ok is True
     assert bottleneck_ok is False
@@ -153,7 +139,7 @@ def test_lower_ideal_sweep_matches_plain_images(l, n):
 
 def test_lower_ideal_product_fails_on_wrong_products(monkeypatch):
     assert verify.check_lower_ideal_product(2, 4)
-    monkeypatch.setattr(verify.dg, "compose", lambda p, q: (0, dg.identity(p.n)))
+    _constant_products(monkeypatch)
     assert not verify.check_lower_ideal_product(2, 4)
 
 
@@ -168,12 +154,8 @@ def test_lower_ideal_product_fails_when_a_m_keeps_the_vector(monkeypatch):
 
 @pytest.mark.parametrize("l, n", [(1, 3), (2, 4), (3, 6)])
 def test_reduction_idempotent_fails_when_a_m_drops_below(monkeypatch, l, n):
-    # the top vector (n, 0, ..., 0) gets the cut element W(l, n), whose
-    # vector (n-l, 0, ..., 0) lies strictly below it
     assert verify.check_reduction_idempotent(l, n)
-    top = tuple([n] + [0] * (l - 1))
-    a_m = dg.a_m
-    monkeypatch.setattr(verify.dg, "a_m", lambda m, l, n: dg.W(l, n) if m == top else a_m(m, l, n))
+    _cut_the_top_a_m(monkeypatch)
     assert not verify.check_reduction_idempotent(l, n)
 
 
@@ -217,22 +199,135 @@ def test_a_duplicated_profile_makes_the_gram_singular(monkeypatch):
             gr.gram_report(mu, l, n)
 
 
+def _constant_products(mp):
+    # every product is the identity, whose vector is above every other
+    mp.setattr(dg, "compose", lambda p, q: (0, dg.identity(p.n)))
+
+
+def _off_by_parity(mp):
+    real = dg.compose
+
+    def compose(p, q):
+        # the exponent is off by the parity of the right factor's block count
+        k, d = real(p, q)
+        return k + len(q.blocks) % 2, d
+
+    mp.setattr(dg, "compose", compose)
+
+
+def _under_count(mp):
+    # one vector's basis count at (2, 4) short by one
+    counts = dict(sm.vector_counts(2, 4))
+    counts[(2, 0)] -= 1
+    for mod in (sm, st):
+        mp.setattr(mod, "vector_counts", lambda l, n: counts)
+
+
+def _cut_the_top_a_m(mp):
+    # the top vector (n, 0, ..., 0) gets the cut element W(l, n), whose
+    # vector (n-l, 0, ..., 0) lies strictly below it
+    a_m = dg.a_m
+    mp.setattr(dg, "a_m", lambda m, l, n: dg.W(l, n) if m[0] == n else a_m(m, l, n))
+
+
+def _drop_the_last_generator(mp):
+    # the products left to check all hold, but without the last generator
+    # some corner element is never reached
+    for mod in (algebra, st):
+        check = mod.generated_hom_check
+        mp.setattr(mod, "generated_hom_check",
+                   lambda gens, images, mul, check=check: check(gens[:-1], images, mul))
+
+
+def _raise_an_exponent(mp):
+    # s1 sends its first block with one delta too many
+    real = sm.StandardModule.action_map
+    s1 = dg.transposition(1, 3)
+
+    def raised(self, d):
+        amap = real(self, d)
+        if d != s1:
+            return amap
+        i, k, B = amap[0]
+        return ((i, k + 1, B),) + amap[1:]
+
+    mp.setattr(sm.StandardModule, "action_map", raised)
+
+
+def _perturb_a_gram_block(mp):
+    # block (0, 1) of the Gram matrix of ((1), -) at (2, 3) gains a delta
+    g = gr.GramMatrix(((1,), ()), 2, 3)
+    k, X = g.rows[0][1]
+    g.rows[0][1] = (k + 1, X)
+    real = gr.gram_matrix
+    mp.setattr(gr, "gram_matrix", lambda mu, l, n: g if (mu, l, n) == (g.mu, 2, 3) else real(mu, l, n))
+
+
+def _keep_a_top_layer_block(mp):
+    # the appended cut element keeps one block of one top-layer vector
+    l, n = 2, 4
+    wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
+    mvec = gamma.h_subset(l, n)[0]
+    real = sm.action_table
+
+    def kept(d, m, *rest):
+        table = real(d, m, *rest)
+        return ((0, 0, ()),) + table[1:] if (d, m) == (wbar, mvec) else table
+
+    mp.setattr(sm, "action_table", kept)
+
+
+def _module_dim_off_by_one(mp):
+    # only the dimension of the label itself is wrong at n = 4, so every
+    # per-class equality still holds and the sum alone fails
+    real = br.standard_dim
+    mp.setattr(br, "standard_dim", lambda mu, l, n: real(mu, l, n) + (n == 4))
+
+
+def _drop_the_last_map_entry(mp):
+    # no action map covers its last block; the restriction tables are built
+    # from the maps and cached, so they get an empty cache while the fault
+    # is in place: no table cached before it hides it, none made under it
+    # outlives the test
+    real = sm.StandardModule.action_map
+    mp.setattr(sm.StandardModule, "action_map", lambda self, d: real(self, d)[:-1])
+    mp.setattr(br, "restriction", lru_cache(maxsize=None)(br.restriction.__wrapped__))
+
+
 # check name -> (l, n, fault): each fault must turn the check's PASS at
 # (l, n) into a FAIL.  The unpatched run fills the per-process caches
-# first, so none of them keeps a faulty value.
+# first, so none of them keeps a faulty value; a cache above the patched
+# function is swapped for an empty one while the fault is in place.
 FAULTS = {
+    "tone-closure-and-bottleneck": (2, 3, _constant_products),
+    "flip-antiautomorphism": (2, 4, lambda mp: mp.setattr(dg, "flip", lambda p: p)),
+    "associativity": (2, 4, _off_by_parity),
     "sandwich-identities": (
         2, 4, lambda mp: mp.setattr(dg, "a_m", lambda m, l, n: dg.identity(n))),
+    "basis-vector-partition": (2, 4, _under_count),
+    "matching-group-corner": (2, 4, _drop_the_last_generator),
+    "lower-ideal-product": (2, 4, _constant_products),
     "total-order-and-chain": (
         2, 4, lambda mp: mp.setattr(gamma, "total_key", _reversed_total_key(gamma.total_key))),
     "index-set-split": (
         2, 4, lambda mp: mp.setattr(gamma, "h_subset", lambda l, n: list(gamma.gamma_set(l, n)))),
-    "module-globalisation": (
-        2, 4, lambda mp: mp.setattr(sm, "embedded_profile", lambda profile, l, n_small: profile)),
+    "reduction-idempotent": (2, 4, _cut_the_top_a_m),
+    "sum-of-squares": (2, 4, _under_count),
+    "generator-relations": (2, 3, _raise_an_exponent),
     "gram-nondegenerate": (2, 4, _duplicate_a_profile),
     "gram-generic-rank": (2, 4, _duplicate_a_profile),
     # is_semisimple_at(2, 3, 1) is False: delta = 1 is a root of a Gram det
     "semisimple-generic-point": (2, 3, lambda mp: mp.setattr(gr, "GENERIC_POINT", 1)),
+    "gram-top-layer": (2, 4, _duplicate_a_profile),
+    "form-contravariance": (2, 3, _perturb_a_gram_block),
+    "corner-compression": (2, 5, _drop_the_last_generator),
+    "module-globalisation": (
+        2, 4, lambda mp: mp.setattr(sm, "embedded_profile", lambda profile, l, n_small: profile)),
+    "top-layer-vanishing": (2, 4, _keep_a_top_layer_block),
+    "branching-dimensions": (2, 4, _module_dim_off_by_one),
+    "submodule-closure": (2, 4, _drop_the_last_map_entry),
+    "heredity-sections": (2, 4, _under_count),
+    "fusion-corner": (2, 4, _drop_the_last_generator),
 }
 
 
@@ -243,3 +338,7 @@ def test_an_injected_fault_fails_the_check(monkeypatch, name):
     inject(monkeypatch)
     res = verify.run_verify(l, n, [name])[-1]
     assert (res.params, res.ok, res.error) == ("l=%d,n=%d" % (l, n), False, None)
+
+
+def test_every_check_has_a_fault():
+    assert set(FAULTS) == set(verify.CHECK_NAMES)
