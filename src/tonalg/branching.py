@@ -11,15 +11,17 @@ class; labels whose vector leaves the index set contribute nothing.
 
 from collections import Counter, namedtuple
 from functools import lru_cache
+from math import prod
 
 from . import diagram as dg
 from .standard_modules import (
-    standard_module,
+    action_table,
     standard_dim,
     generator_diagrams,
     all_labels,
+    transversal,
 )
-from .symmetric import add_boxes, rem_boxes
+from .symmetric import add_boxes, hook_dim, rem_boxes
 
 
 def include(d):
@@ -78,21 +80,23 @@ def first_vertex_class(profile, l):
     raise AssertionError("vertex 1 missing from profile")
 
 
-Restriction = namedtuple("Restriction", ["module", "classes", "labels", "maps"])
+Restriction = namedtuple("Restriction", ["tableaux", "classes", "labels", "tables"])
 
 
 @lru_cache(maxsize=None)
 def restriction(lam, l, nplus1):
     """Everything the branching checks read of one label, built once per
-    process: the module, the first-vertex class of each transversal
-    profile, the labels of each class (_class_labels), and the action map
-    of each included generator.  lam must be a tuple of tuples."""
-    mod = standard_module(lam, l, nplus1)
+    process: its tableau count (the hook product), the first-vertex class
+    of each transversal profile, the labels of each class (_class_labels),
+    and the action table of each included generator.  No Specht matrix is
+    built: the checks read only block indices and the tableau count.  lam
+    must be a tuple of tuples."""
+    mvec = tuple(sum(x) for x in lam)
     return Restriction(
-        mod,
-        tuple(first_vertex_class(p, l) for p in mod.profiles),
+        prod(hook_dim(x) for x in lam),
+        tuple(first_vertex_class(p, l) for p in transversal(mvec, l, nplus1)),
         _class_labels(lam, l, nplus1),
-        tuple(mod.action_map(include(d)) for d in generator_diagrams(l, nplus1 - 1).values()),
+        tuple(action_table(include(d), mvec, l, nplus1) for d in generator_diagrams(l, nplus1 - 1).values()),
     )
 
 
@@ -103,7 +107,7 @@ def classify_basis(lam, l, nplus1):
     table = restriction(tuple(tuple(x) for x in lam), l, nplus1)
     counts = Counter(table.classes)
     keys = [1] + list(range(2, l + 1)) + ["lp", 0]
-    return {k: counts[k] * table.module.rep.dim for k in keys}
+    return {k: counts[k] * table.tableaux for k in keys}
 
 
 def classified_dim_checks(lam, l, nplus1):
@@ -111,11 +115,12 @@ def classified_dim_checks(lam, l, nplus1):
     and the classes together carry standard_dim of the label.
 
     This is the one dimension check of the restriction.  The classes count
-    profiles times the module's tableau count, and standard_dim takes the
-    hook product, so the sum holds only when the two agree.  Summed over all
-    classes, the per-class equalities give dim M = the sum of the dims of
-    all filtration labels, as restrict_rule reads the same _class_labels;
-    summed over the nonzero classes and taken at class 0, they give the
+    profiles times the label's tableau count, the hook product that
+    standard_dim takes too, so the sum holds when every profile falls in
+    one of the classes.  Summed over all classes, the per-class equalities
+    give dim M = the sum of the dims of all filtration labels, as
+    restrict_rule reads the same _class_labels; summed over the nonzero
+    classes and taken at class 0, they give the
     dimensions of the submodule part and of the quotient part.  That the
     submodule part is closed under the included subalgebra is
     submodule_closure_check's A_closed.
@@ -130,17 +135,17 @@ def classified_dim_checks(lam, l, nplus1):
     return ok and sum(counts.values()) == standard_dim(lam, l, nplus1), counts, checks
 
 
-def _span_closed(classes, maps, member):
+def _span_closed(classes, tables, member):
     """Does the span of the profiles with member(class)=True absorb the
-    included generators, given by their action maps?  A generator sends a
+    included generators, given by their action tables?  A generator sends a
     profile block into at most one block, by an invertible matrix, so the
     span is closed exactly when no inside block is sent to an outside one;
-    a map that does not cover every block establishes nothing."""
+    a table that does not cover every block establishes nothing."""
     inside = [member(c) for c in classes]
-    for amap in maps:
-        if len(amap) != len(inside):
+    for table in tables:
+        if len(table) != len(inside):
             return False
-        for flag, e in zip(inside, amap):
+        for flag, e in zip(inside, table):
             if flag and e and not inside[e[0]]:
                 return False
     return True
@@ -151,11 +156,11 @@ def submodule_closure_check(lam, l, nplus1):
     subalgebra: the propagating classes close (individually for 1 and each
     i <= l, jointly for everything away from the non-propagating class)."""
     table = restriction(tuple(tuple(x) for x in lam), l, nplus1)
-    classes, maps = table.classes, table.maps
+    classes, tables = table.classes, table.tables
     return {
-        "B1_closed": _span_closed(classes, maps, lambda c: c == 1),
-        "B12_closed": _span_closed(classes, maps, lambda c: c in (1, 2)),
-        "A_closed": _span_closed(classes, maps, lambda c: c != 0),
+        "B1_closed": _span_closed(classes, tables, lambda c: c == 1),
+        "B12_closed": _span_closed(classes, tables, lambda c: c in (1, 2)),
+        "A_closed": _span_closed(classes, tables, lambda c: c != 0),
     }
 
 
@@ -166,8 +171,8 @@ def leak_check(lam, l, nplus1):
     classes = table.classes
     return any(
         c == "lp" and e and classes[e[0]] == 1
-        for amap in table.maps
-        for c, e in zip(classes, amap)
+        for action in table.tables
+        for c, e in zip(classes, action)
     )
 
 

@@ -11,10 +11,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 
-def identity_matrix(d):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
 def int_mat_mul(A, B):
     rows, inner, cols = len(A), len(B), len(B[0])
     out = [[0] * cols for _ in range(rows)]

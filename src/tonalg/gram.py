@@ -11,11 +11,11 @@ layout and the entry is delta^k times the symmetric-group form value.
 from fractions import Fraction
 from functools import lru_cache
 
-from . import diagram as dg
 from . import gamma
 from .exactla import bareiss_det, block_matrix, fraction_rank, int_mat_mul, poly_json, poly_str
 from .standard_modules import (
     InvariantError,
+    action_table,
     standard_module,
     gram_table,
     generator_diagrams,
@@ -64,15 +64,7 @@ class GramMatrix:
         """The matrix at delta = x: ints at an integral x, else Fractions."""
         if isinstance(x, Fraction) and x.denominator == 1:
             x = x.numerator
-        r = self.module.rep.dim
-        M = [[0] * self.dim for _ in range(self.dim)]
-        for i, j, k, X in self.blocks():
-            xk = x ** k
-            for a, row in enumerate(X):
-                out = M[i * r + a]
-                for b, v in enumerate(row):
-                    out[j * r + b] = v * xk
-        return M
+        return [[sum(v * x ** k for k, v in e.items()) for e in row] for row in self.dense()]
 
     def rank_at(self, x):
         """The exact rank of the matrix at delta = x."""
@@ -139,20 +131,22 @@ def top_layer_check(l, n):
     return True
 
 
-def gram_times(g, amap):
-    """G M as a block dict {(j, c): (k, P)}, for the action map of M; G is
-    symmetric, so the blocks (j, i) of column i are keyed by rows[i].  The
-    stored X (one per matching) and the B (one per permutation) are shared,
-    so each product X B is taken once, and the P are shared in turn."""
+def gram_times(g, table):
+    """G M as a block dict {(j, c): (k, P)}, for the action table of M; G is
+    symmetric, so the blocks (j, i) of column i are keyed by rows[i].  Each
+    table permutation s goes through rep.matrix, and the stored X (one per
+    matching) and s are shared, so each product X M(s) is taken once, and
+    the P are shared in turn."""
+    matrix = g.module.rep.matrix
     out, products = {}, {}
-    for c, e in enumerate(amap):
+    for c, e in enumerate(table):
         if e:
-            i, k, B = e
+            i, k, s = e
             for j in g.rows[i]:
                 kg, X = g.rows[j][i]
-                key = id(X), id(B)
+                key = id(X), s
                 if key not in products:
-                    products[key] = int_mat_mul(X, B)
+                    products[key] = int_mat_mul(X, matrix(s))
                 out[j, c] = (kg + k, products[key])
     return out
 
@@ -170,28 +164,23 @@ def contravariance_check(mu, l, n):
     cancels, Z[delta] being a domain.  The identity passes as G is
     symmetric, and linearity carries the equation to every x.
 
-    G is symmetric, so block (j, c) of M_d^T G = (G M_d)^T is the transpose
-    of block (c, j) of G M_d, and gram_times serves both sides; a generator
-    that is its own flip reuses its one product, and each shared product is
-    transposed once per generator.  A diagram sends each column block to at
-    most one block, so every block of either side is one monomial product
-    or zero.  Equal blocks give equal matrices; the converse holds as no
-    product block is zero, each being an invertible matrix times a stored
-    Gram block.
+    Every generator is its own flip, and G is symmetric, so M_d^T G is the
+    transpose of G M_d and the equation says that G M_d is symmetric:
+    block (j, c) of G M_d, from gram_times, is compared with the transpose
+    of block (c, j), and each shared product is transposed once.  A diagram
+    sends each column block to at most one block, so every block is one
+    monomial product or zero.  Equal blocks give equal matrices; the
+    converse holds as no product block is zero, each being an invertible
+    matrix times a stored Gram block.
     """
     g = gram_matrix(mu, l, n)
-    mod = g.module
     for d in generator_diagrams(l, n).values():
-        left = gram_times(g, mod.action_map(d))
-        fd = dg.flip(d)
-        right = left if fd == d else gram_times(g, mod.action_map(fd))
-        if len(left) != len(right):
-            return False
-        # the blocks share their products, so each is transposed once; left
-        # keeps every P alive, so no id is reused while it is a key
+        blocks = gram_times(g, action_table(d, g.module.mvec, l, n))
+        # the blocks share their products, so each is transposed once;
+        # blocks keeps every P alive, so no id is reused while it is a key
         transposed = {}
-        for (c, j), (k, P) in left.items():
-            e = right.get((j, c))
+        for (c, j), (k, P) in blocks.items():
+            e = blocks.get((j, c))
             if e is None or e[0] != k:
                 return False
             if id(P) not in transposed:

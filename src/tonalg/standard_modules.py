@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from . import diagram as dg
 from . import gamma
-from .exactla import block_matrix, identity_matrix, int_mat_mul
+from .exactla import block_matrix
 from .symmetric import (
     outer_rep,
     hook_dim,
@@ -270,6 +270,19 @@ def gram_table(mvec, l, n):
     return tuple(out)
 
 
+def table_product(P, Q):
+    """The action table of P * Q, for the tables P and Q of one vector:
+    block j goes through Q, then P, the delta powers add, and the tableau
+    permutations compose as a[b[j]], the order in which SpechtRep.matrix
+    multiplies, so the matrices of the product are the products of the
+    matrices."""
+    out = []
+    for q in Q:
+        p = q and P[q[0]]
+        out.append(p and (p[0], p[1] + q[1], tuple(tuple(a[j] for j in b) for a, b in zip(p[2], q[2]))))
+    return tuple(out)
+
+
 class StandardModule:
     """Standard module for a multipartition, with exact Z[delta] action.
 
@@ -278,8 +291,10 @@ class StandardModule:
     composed with the transversal diagram of profile j reduces into the left
     ideal either below the module's vector (so d kills block j) or to one
     profile i with a matching sigma and a power delta^k: d sends block j to
-    block i as delta^k times the symmetric-group matrix of sigma^-1.  The
-    products are action_table's, shared by the labels of one vector.
+    block i as delta^k times the symmetric-group matrix of sigma^-1.  That
+    action is stored once per vector, as action_table; a label sends the
+    table's permutations to its Specht matrices only for Gram blocks and
+    dense_action.
     """
 
     def __init__(self, mu, l, n):
@@ -294,29 +309,11 @@ class StandardModule:
         self.rep = outer_rep(self.mu)
         self.dim = len(self.profiles) * self.rep.dim
 
-    def action_map(self, d):
-        """The action of diagram d as a tuple over column blocks j, each
-        None (d sends block j to zero) or (i, k, B): d sends block j to
-        block i as delta^k times the invertible integer matrix B.  The B
-        are shared and must not be changed."""
-        matrix = self.rep.matrix
-        return tuple(
-            e and (e[0], e[1], matrix(e[2])) for e in action_table(d, self.mvec, self.l, self.n)
-        )
-
     def dense_action(self, d):
         """The dim x dim polynomial matrix of d's action, for output."""
-        blocks = ((e[0], j) + e[1:] for j, e in enumerate(self.action_map(d)) if e)
+        table = action_table(d, self.mvec, self.l, self.n)
+        blocks = ((e[0], j, e[1], self.rep.matrix(e[2])) for j, e in enumerate(table) if e)
         return block_matrix(blocks, len(self.profiles), self.rep.dim)
-
-
-def map_product(P, Q):
-    """The action map of M_P * M_Q: block j goes through Q, then P."""
-    out = []
-    for q in Q:
-        p = q and P[q[0]]
-        out.append(p and (p[0], p[1] + q[1], int_mat_mul(p[2], q[2])))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -401,42 +398,45 @@ def embedded_profile(profile, l, n_small):
     return tuple(sorted(profile + (extra,)))
 
 
-def globalise_module_check(mu, l, n):
+def globalise_module_check(mvec, l, n):
     """Appending a non-propagating l-block embeds the (n-l)-strand standard
-    module into the n-strand one; the action of g (x) ww* on the image equals
-    delta times the small action of g, and the image is a delta-eigenspace of
-    the appended cut element."""
+    modules of mvec into the n-strand ones; the action of g (x) ww* on the
+    image equals delta times the small action of g, and the image is a
+    delta-eigenspace of the appended cut element.
+
+    Compared on the action tables of mvec at n-l and at n, shared by every
+    label of mvec: a label's action is its table with each permutation sent
+    to its Specht matrix, so equal tables give equal actions on every label.
+    """
     if n <= l:
         raise dg.DiagramError("need n > l")
-    small = standard_module(tuple(tuple(x) for x in mu), l, n - l)
-    big = standard_module(tuple(tuple(x) for x in mu), l, n)
-    index = {p: i for i, p in enumerate(big.profiles)}
+    index = {p: i for i, p in enumerate(transversal(mvec, l, n))}
     emb = []
-    for p in small.profiles:
+    for p in transversal(mvec, l, n - l):
         q = embedded_profile(p, l, n - l)
         if q not in index:
             return False
         emb.append(index[q])
     wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))
-    Mw = big.action_map(wbar)
-    one = identity_matrix(big.rep.dim)
-    if any(Mw[e] != (e, 1, one) for e in emb):
+    Tw = action_table(wbar, mvec, l, n)
+    one = tuple(tuple(range(x)) for x in mvec)
+    if any(Tw[e] != (e, 1, one) for e in emb):
         return False
     for gd in generator_diagrams(l, n - l).values():
-        Mb = big.action_map(dg.tensor(gd, dg.ww_star(l)))
-        Ms = small.action_map(gd)
-        for cj, e in enumerate(Ms):
+        Tb = action_table(dg.tensor(gd, dg.ww_star(l)), mvec, l, n)
+        Ts = action_table(gd, mvec, l, n - l)
+        for cj, e in enumerate(Ts):
             want = e and (emb[e[0]], e[1] + 1, e[2])
-            if Mb[emb[cj]] != want:
+            if Tb[emb[cj]] != want:
                 return False
     return True
 
 
 def vanishing_top_layer_check(l, n):
     """The appended cut element annihilates every module whose vector is in
-    the top layer (fully propagating).  A module's action map is None
-    exactly where action_table is, so one table per vector decides all of
-    its labels."""
+    the top layer (fully propagating).  A module's action is zero on a
+    block exactly where action_table is None, so one table per vector
+    decides all of its labels."""
     if n < l:
         return True
     wbar = dg.tensor(dg.identity(n - l), dg.ww_star(l))

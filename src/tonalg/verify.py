@@ -12,18 +12,17 @@ from . import diagram as dg
 from . import gamma
 from . import gram
 from .algebra import corner_iso_check
-from .exactla import identity_matrix
 from .standard_modules import (
+    action_table,
     basis_diagram,
     vector_counts,
-    standard_module,
     sum_of_squares_check,
     ideal_section_dims_check,
     globalise_module_check,
     vanishing_top_layer_check,
     generator_diagrams,
     all_labels,
-    map_product,
+    table_product,
     transversal_diagrams,
 )
 from .gram import contravariance_check, generic_full_rank, top_layer_check
@@ -195,21 +194,23 @@ def check_contravariance(l, n):
 
 def check_generator_relations(l, n):
     """s_i^2 = 1, A12^2 = A12 and W^2 = delta W on every standard module,
-    each square taken by composing the generator's action map with itself.
-    Every map entry is delta^k times an invertible matrix, so two maps are
-    equal exactly when their matrices are."""
-    for mu in all_labels(l, n):
-        mod = standard_module(mu, l, n)
-        one = identity_matrix(mod.rep.dim)
+    each square taken by table_product of the generator's action table
+    with itself, once per vector.  A label's action is its table with each
+    permutation sent to its Specht matrix, so equal tables give equal
+    actions on every label of the vector; the labels' Specht modules are
+    all the irreducibles of the matching group, which together act
+    faithfully, so unequal tables give unequal actions on some label."""
+    for mvec in gamma.gamma_set(l, n):
+        one = tuple(tuple(range(x)) for x in mvec)
         for name, d in generator_diagrams(l, n).items():
-            M = mod.action_map(d)
+            T = action_table(d, mvec, l, n)
             if name.startswith("s"):
-                want = tuple((j, 0, one) for j in range(len(M)))
+                want = tuple((j, 0, one) for j in range(len(T)))
             elif name == "A12":
-                want = M
+                want = T
             else:
-                want = tuple(e and (e[0], e[1] + 1, e[2]) for e in M)
-            if map_product(M, M) != want:
+                want = tuple(e and (e[0], e[1] + 1, e[2]) for e in T)
+            if table_product(T, T) != want:
                 return False
     return True
 
@@ -223,7 +224,7 @@ def check_corner_compression(l, n):
 def check_module_globalisation(l, n):
     if n <= l:
         return True
-    return all(globalise_module_check(mu, l, n) for mu in all_labels(l, n - l))
+    return all(globalise_module_check(m, l, n) for m in gamma.gamma_set(l, n - l))
 
 
 def check_branching_dims(l, n):

@@ -3,10 +3,10 @@ over vertices and the flip by vertex names, a generic set-partition
 generator, the transversal as a filter over every set partition, the
 three-sort polar decomposition and the matching diagram it inverts, the
 left-ideal reduction of an element, restriction to a range of strands,
-arithmetic in Z[delta] and dense Z[delta] matrices: their product and
-equality, each diagram's action matrix and each Gram matrix built entry by
-entry, and the corner isomorphism checked on every ordered pair.  None of
-these is used by the library."""
+arithmetic in Z[delta] and dense Z[delta] matrices: the identity, their
+product and equality, each diagram's action matrix and each Gram matrix
+built entry by entry, and the corner isomorphism checked on every ordered
+pair.  None of these is used by the library."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -235,6 +235,10 @@ def as_poly(x):
 def poly_mat(M):
     """Coerce a matrix of ints and polynomial dicts to an all-Poly matrix."""
     return [[as_poly(x) for x in row] for row in M]
+
+
+def identity_matrix(d):
+    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
 
 def poly_mat_mul(A, B):

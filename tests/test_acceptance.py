@@ -120,8 +120,8 @@ def test_criterion_08_index_machinery():
 
 def test_criterion_09_globalisation():
     ok = all(corner_iso_check(dg.W_b(l, n), l, l) for l, n in [(2, 4), (2, 5), (3, 6)])
-    for mu in all_labels(2, 2):
-        ok = ok and globalise_module_check(mu, 2, 4)
+    for mvec in gamma.gamma_set(2, 2):
+        ok = ok and globalise_module_check(mvec, 2, 4)
     report(9, ok, "corner compression bijections and module embeddings")
 
 

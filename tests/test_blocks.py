@@ -1,5 +1,5 @@
-"""Action maps and Gram blocks against dense Z[delta] matrices built entry by
-entry, and faults that the block readers must reject."""
+"""Action tables and Gram blocks against dense Z[delta] matrices built entry
+by entry, and faults that the block readers must reject."""
 
 import json
 
@@ -7,8 +7,10 @@ import pytest
 
 from tonalg import branching as br
 from tonalg import diagram as dg
+from tonalg import gamma
 from tonalg import gram as gr
 from tonalg import standard_modules as sm
+from tonalg import symmetric
 from tonalg import verify
 from tonalg.cli import main
 from tonalg.exactla import block_matrix, poly_json
@@ -22,9 +24,16 @@ def _label_text(mu):
     return "|".join(",".join(map(str, lam)) or "-" for lam in mu)
 
 
-def dense_map(mod, amap):
+def table_of(mod, d):
+    return sm.action_table(d, mod.mvec, mod.l, mod.n)
+
+
+def dense_table(mod, table):
+    # each permutation of the table sent to the label's Specht matrix
     return block_matrix(
-        ((e[0], j) + e[1:] for j, e in enumerate(amap) if e), len(mod.profiles), mod.rep.dim
+        ((e[0], j, e[1], mod.rep.matrix(e[2])) for j, e in enumerate(table) if e),
+        len(mod.profiles),
+        mod.rep.dim,
     )
 
 
@@ -45,9 +54,24 @@ def test_squared_maps_match_dense_products(l, n):
         mod = sm.standard_module(mu, l, n)
         for d in sm.generator_diagrams(l, n).values():
             M = dense_action(mod, d)
-            amap = mod.action_map(d)
-            assert dense_map(mod, amap) == M, (mu, d)
-            assert dense_map(mod, sm.map_product(amap, amap)) == poly_mat_mul(M, M), (mu, d)
+            T = table_of(mod, d)
+            assert dense_table(mod, T) == M, (mu, d)
+            assert dense_table(mod, sm.table_product(T, T)) == poly_mat_mul(M, M), (mu, d)
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+def test_table_product_is_the_table_of_the_product(l, n):
+    # order-sensitive: table_product(P, Q) sends each block through Q first,
+    # and d * e = delta^k de, so the tables of d and e compose to the table
+    # of de with k added to every exponent
+    gens = list(sm.generator_diagrams(l, n).values())
+    for mvec in gamma.gamma_set(l, n):
+        for d in gens:
+            for e in gens:
+                k, de = dg.compose(d, e)
+                want = tuple(x and (x[0], x[1] + k, x[2]) for x in sm.action_table(de, mvec, l, n))
+                got = sm.table_product(sm.action_table(d, mvec, l, n), sm.action_table(e, mvec, l, n))
+                assert got == want, (mvec, d, e)
 
 
 @pytest.mark.parametrize("l,n", CASES)
@@ -58,7 +82,7 @@ def test_contravariance_blocks_match_dense_products(l, n):
         G, _ = ordered_pair_gram(mu, l, n)
         for d in _diagrams(l, n):
             M = dense_action(mod, d)
-            GM = gr.gram_times(g, mod.action_map(d))
+            GM = gr.gram_times(g, table_of(mod, d))
             assert dense_blocks(mod, GM) == poly_mat_mul(G, M), (mu, d)
             # G is symmetric, so the transposed blocks give M^T G
             MtG = {(c, j): (k, [list(col) for col in zip(*P)]) for (j, c), (k, P) in GM.items()}
@@ -105,7 +129,7 @@ def test_labels_of_one_vector_share_products(monkeypatch, mvec, l, n):
     for mu in labels:
         mod = sm.standard_module(mu, l, n)
         for d in diagrams:
-            assert dense_map(mod, mod.action_map(d)) == dense_action(mod, d), (mu, d)
+            assert dense_table(mod, table_of(mod, d)) == dense_action(mod, d), (mu, d)
         G, exps = ordered_pair_gram(mu, l, n)
         g = gr.gram_matrix(mu, l, n)
         assert g.dense() == G, mu
@@ -151,16 +175,16 @@ def test_uninverted_tableau_perm_breaks_contravariance(monkeypatch):
 
 
 def test_dropped_map_entry_fails_span_closure(monkeypatch):
-    # negative control: a map that no longer covers its last block
+    # negative control: an action table that no longer covers its last block
     lam, l, nplus1 = ((2,), ()), 2, 4
-    table = br.restriction(lam, l, nplus1)
-    assert br._span_closed(table.classes, table.maps, lambda c: c != 0)
-    short = [amap[:-1] for amap in table.maps]
-    assert not br._span_closed(table.classes, short, lambda c: c != 0)
-    real = sm.StandardModule.action_map
-    monkeypatch.setattr(sm.StandardModule, "action_map", lambda self, d: real(self, d)[:-1])
-    # the restriction table is cached per process: build it anew with the
-    # short maps, and drop it afterwards
+    res = br.restriction(lam, l, nplus1)
+    assert br._span_closed(res.classes, res.tables, lambda c: c != 0)
+    short = [t[:-1] for t in res.tables]
+    assert not br._span_closed(res.classes, short, lambda c: c != 0)
+    real = br.action_table
+    monkeypatch.setattr(br, "action_table", lambda *args: real(*args)[:-1])
+    # the restriction is cached per process: build it anew with the short
+    # tables, and drop it afterwards
     br.restriction.cache_clear()
     try:
         assert not verify.check_submodule_closure(l, nplus1)
@@ -168,9 +192,25 @@ def test_dropped_map_entry_fails_span_closure(monkeypatch):
         br.restriction.cache_clear()
 
 
-def test_specht_matrices_are_built_once_per_matching(monkeypatch):
-    from tonalg import symmetric
+TABLE_CHECKS = ["generator-relations", "module-globalisation", "branching-dimensions", "submodule-closure"]
 
+
+@pytest.mark.parametrize("l,n", [(2, 4), (3, 5)])
+def test_table_checks_build_no_specht_matrix(monkeypatch, l, n):
+    # these checks compare action tables, so they pass with every Specht
+    # matrix out of reach; the matrices cached per OuterRep are emptied
+    # first, so none built before the patch is read
+    def raised(self, perm):
+        raise AssertionError("Specht matrix of %r built" % (perm,))
+
+    monkeypatch.setattr(symmetric.SpechtRep, "matrix", raised)
+    symmetric.outer_rep.cache_clear()
+    symmetric.OuterRep.matrix.cache_clear()
+    for res in verify.run_verify(l, n, TABLE_CHECKS):
+        assert (res.ok, res.error) == (True, None), res
+
+
+def test_specht_matrices_are_built_once_per_matching(monkeypatch):
     calls = []
     real = symmetric.SpechtRep.matrix
 

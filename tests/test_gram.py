@@ -297,19 +297,29 @@ def test_contravariance_on_small_labels():
         assert gr.contravariance_check(mu, l, n)
 
 
-def test_contravariance_with_a_generator_not_its_own_flip(monkeypatch):
-    # every named generator is its own flip, so the check reuses one product
-    # per generator; a word that is not its own flip takes the second
-    # product, and contravariance holds for it as for any element
-    for l in (1, 2, 3):
-        for n in range(6):
+def test_generators_are_their_own_flips():
+    # contravariance_check reads M_d^T G = G M_flip(d) as the symmetry of
+    # G M_d, which is that equation only when flip(d) = d
+    for l in range(1, 6):
+        for n in range(10):
             assert all(dg.flip(d) == d for d in generator_diagrams(l, n).values()), (l, n)
+
+
+def test_contravariance_with_a_generator_not_its_own_flip(monkeypatch):
+    # a word that is not its own flip acts contravariantly, M^T G = G M_flip,
+    # but G M is not symmetric, so the check, which reads that symmetry,
+    # rejects it rather than passing it unseen
     l, n = 2, 4
     gens = generator_diagrams(l, n)
     word = dg.compose(gens["s2"], gens["W"])[1]
     assert dg.flip(word) != word
+    for mu in all_labels(l, n):
+        mod = standard_module(mu, l, n)
+        G = gr.gram_matrix(mu, l, n).dense()
+        Mt = poly_mat_transpose(mod.dense_action(word))
+        assert poly_mat_eq(poly_mat_mul(Mt, G), poly_mat_mul(G, mod.dense_action(dg.flip(word)))), mu
     monkeypatch.setattr(gr, "generator_diagrams", lambda l, n: {**gens, "s2W": word})
-    assert all(gr.contravariance_check(mu, l, n) for mu in all_labels(l, n))
+    assert not all(gr.contravariance_check(mu, l, n) for mu in all_labels(l, n))
 
 
 def test_contravariance_with_noninvolutive_matchings():

@@ -6,11 +6,11 @@ import pytest
 from tonalg import diagram as dg
 from tonalg import gamma
 from tonalg.algebra import corner_iso_check, enumerate_basis, sandwich_middles
-from tonalg.exactla import identity_matrix
 from tonalg import standard_modules as sm
 
 from oracles import (
     Poly,
+    identity_matrix,
     plain_polar_decompose,
     plain_transversal,
     poly_mat,
@@ -287,9 +287,9 @@ def test_corner_compression():
 
 
 def test_globalise_modules():
-    for mu in sm.all_labels(2, 2):
-        assert sm.globalise_module_check(mu, 2, 4)
-    assert sm.globalise_module_check(((1,), ()), 2, 5)
+    for mvec in gamma.gamma_set(2, 2):
+        assert sm.globalise_module_check(mvec, 2, 4)
+    assert sm.globalise_module_check((1, 0), 2, 5)
 
 
 def test_vanishing_top_layer():

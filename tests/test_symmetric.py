@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 
 from tonalg import symmetric as sym
-from tonalg.exactla import int_mat_mul, identity_matrix, fraction_rank
+from tonalg.exactla import int_mat_mul, fraction_rank
+
+from oracles import identity_matrix
 
 
 def _adjacent_matrices(rep):

@@ -241,17 +241,17 @@ def _drop_the_last_generator(mp):
 
 def _raise_an_exponent(mp):
     # s1 sends its first block with one delta too many
-    real = sm.StandardModule.action_map
+    real = verify.action_table
     s1 = dg.transposition(1, 3)
 
-    def raised(self, d):
-        amap = real(self, d)
+    def raised(d, *rest):
+        table = real(d, *rest)
         if d != s1:
-            return amap
-        i, k, B = amap[0]
-        return ((i, k + 1, B),) + amap[1:]
+            return table
+        i, k, s = table[0]
+        return ((i, k + 1, s),) + table[1:]
 
-    mp.setattr(sm.StandardModule, "action_map", raised)
+    mp.setattr(verify, "action_table", raised)
 
 
 def _perturb_a_gram_block(mp):
@@ -284,13 +284,13 @@ def _module_dim_off_by_one(mp):
     mp.setattr(br, "standard_dim", lambda mu, l, n: real(mu, l, n) + (n == 4))
 
 
-def _drop_the_last_map_entry(mp):
-    # no action map covers its last block; the restriction tables are built
-    # from the maps and cached, so they get an empty cache while the fault
-    # is in place: no table cached before it hides it, none made under it
-    # outlives the test
-    real = sm.StandardModule.action_map
-    mp.setattr(sm.StandardModule, "action_map", lambda self, d: real(self, d)[:-1])
+def _drop_the_last_table_entry(mp):
+    # no action table of an included generator covers its last block; the
+    # restrictions are built from the tables and cached, so they get an
+    # empty cache while the fault is in place: no restriction cached before
+    # it hides it, none made under it outlives the test
+    real = br.action_table
+    mp.setattr(br, "action_table", lambda *args: real(*args)[:-1])
     mp.setattr(br, "restriction", lru_cache(maxsize=None)(br.restriction.__wrapped__))
 
 
@@ -325,7 +325,7 @@ FAULTS = {
         2, 4, lambda mp: mp.setattr(sm, "embedded_profile", lambda profile, l, n_small: profile)),
     "top-layer-vanishing": (2, 4, _keep_a_top_layer_block),
     "branching-dimensions": (2, 4, _module_dim_off_by_one),
-    "submodule-closure": (2, 4, _drop_the_last_map_entry),
+    "submodule-closure": (2, 4, _drop_the_last_table_entry),
     "heredity-sections": (2, 4, _under_count),
     "fusion-corner": (2, 4, _drop_the_last_generator),
 }
