@@ -1,11 +1,13 @@
 """Contravariant Gram matrices of standard modules over Z[delta], exact
-determinants, generic nondegeneracy proved from the sandwich exponents, and
-ranks and semisimplicity verdicts at exact evaluation points.
+determinants, generic nondegeneracy proved from the sandwich exponents,
+form-contravariance, and ranks and semisimplicity verdicts at exact points.
 
 The entry attached to basis pairs (t, v), (t', v') is read off the sandwich
 flip(t) * t': if its propagating vector drops the entry is zero; otherwise
 the sandwich is delta^k times a matching permutation on the canonical
-layout and the entry is delta^k times the symmetric-group form value.
+layout and the entry is delta^k times the symmetric-group form value.  The
+checks read gram_table; a GramMatrix is built for gram, --at and
+is_semisimple_at only.
 """
 
 from fractions import Fraction
@@ -20,16 +22,17 @@ from .standard_modules import (
     gram_table,
     generator_diagrams,
     all_labels,
+    matching_product,
     transversal,
 )
+from .symmetric import perm_inverse
 
 
 class GramMatrix:
     """Exact symmetric Gram matrix of the contravariant form on a standard
-    module, by blocks of transversal profiles: rows[i][j] = (k, X) says that
-    block (i, j) is delta^k times the integer matrix X, and a block missing
-    from rows[i] is zero.  X is the tableau form times an invertible
-    matrix, and that form is positive definite, so no stored X is zero."""
+    module: blocks lists (i, j, k, X) over both triangles, block (i, j)
+    being delta^k times the integer matrix X; a block not listed is zero.
+    X is the positive definite tableau form times an invertible matrix."""
 
     def __init__(self, mu, l, n):
         self.mu = tuple(tuple(lam) for lam in mu)
@@ -37,10 +40,10 @@ class GramMatrix:
         self.n = n
         self.module = mod = standard_module(self.mu, l, n)
         self.dim = mod.dim
-        self.rows = rows = [{} for _ in mod.profiles]
+        self.blocks = blocks = []
         forms = {}
         # the matrix is symmetric: gram_table holds the blocks with i <= j,
-        # and block (j, i) is stored as the transpose of block (i, j)
+        # and block (j, i) is the transpose of block (i, j)
         for i, j, k, s in gram_table(mod.mvec, l, n):
             if s not in forms:
                 # the sandwich acts on the tableau factor exactly as in the
@@ -48,17 +51,13 @@ class GramMatrix:
                 X = int_mat_mul(mod.rep.form, mod.rep.matrix(s))
                 forms[s] = X, list(zip(*X))
             X, Xt = forms[s]
-            rows[i][j] = (k, X)
+            blocks.append((i, j, k, X))
             if j > i:
-                rows[j][i] = (k, Xt)
-
-    def blocks(self):
-        """The stored blocks as (i, j, k, X)."""
-        return ((i, j, k, X) for i, row in enumerate(self.rows) for j, (k, X) in row.items())
+                blocks.append((j, i, k, Xt))
 
     def dense(self):
         """The dim x dim polynomial matrix, for output and elimination."""
-        return block_matrix(self.blocks(), len(self.rows), self.module.rep.dim)
+        return block_matrix(self.blocks, len(self.module.profiles), self.module.rep.dim)
 
     def evaluate(self, x):
         """The matrix at delta = x: ints at an integral x, else Fractions."""
@@ -131,29 +130,33 @@ def top_layer_check(l, n):
     return True
 
 
-def gram_times(g, table):
-    """G M as a block dict {(j, c): (k, P)}, for the action table of M; G is
-    symmetric, so the blocks (j, i) of column i are keyed by rows[i].  Each
-    table permutation s goes through rep.matrix, and the stored X (one per
-    matching) and s are shared, so each product X M(s) is taken once, and
-    the P are shared in turn."""
-    matrix = g.module.rep.matrix
-    out, products = {}, {}
-    for c, e in enumerate(table):
-        if e:
-            i, k, s = e
-            for j in g.rows[i]:
-                kg, X = g.rows[j][i]
-                key = id(X), s
-                if key not in products:
-                    products[key] = int_mat_mul(X, matrix(s))
-                out[j, c] = (kg + k, products[key])
-    return out
+@lru_cache(maxsize=None)
+def _inverse(s):
+    return tuple(map(perm_inverse, s))
 
 
-def contravariance_check(mu, l, n):
+def gram_times(mvec, l, n, tables):
+    """G M for the matrix M of each action table of mvec, as a block dict
+    {(j, c): (k, p)}, block (j, c) being delta^k F M(p) on every label, F
+    its tableau form.  Block (i, j) of G is delta^k F M(s) for the gram_table
+    entry (i, j, k, s), and (j, i) is delta^k F M(s^-1), as M(s)^T F M(s) = F.
+    M sends block c to delta^k' M(s') at one block i, or to zero, so p is
+    matching_product(s_ji, s'), composed once per pair over the tables."""
+    cols = [{} for _ in transversal(mvec, l, n)]
+    for i, j, k, s in gram_table(mvec, l, n):
+        cols[j][i] = (k, s)
+        if j > i:
+            cols[i][j] = (k, _inverse(s))
+    product = lru_cache(maxsize=None)(matching_product)
+    for table in tables:
+        yield {(j, c): (kg + e[1], product(sg, e[2]))
+               for c, e in enumerate(table) if e for j, (kg, sg) in cols[e[0]].items()}
+
+
+def contravariance_check(mvec, l, n):
     """<x.u, w> = <u, x^op.w> exactly in Z[delta], for every element x of
-    the algebra, checked as M_d^T G = G M_flip(d) for each generator d.
+    the algebra on every label of mvec, checked as M_d^T G = G M_flip(d)
+    for each generator d, on gram_table and action_table alone.
 
     That is enough.  With the identity, the generators reach every basis
     diagram up to delta (corner-compression compresses W_b(l, n + l) onto
@@ -165,28 +168,21 @@ def contravariance_check(mu, l, n):
     symmetric, and linearity carries the equation to every x.
 
     Every generator is its own flip, and G is symmetric, so M_d^T G is the
-    transpose of G M_d and the equation says that G M_d is symmetric:
-    block (j, c) of G M_d, from gram_times, is compared with the transpose
-    of block (c, j), and each shared product is transposed once.  A diagram
-    sends each column block to at most one block, so every block is one
-    monomial product or zero.  Equal blocks give equal matrices; the
-    converse holds as no product block is zero, each being an invertible
-    matrix times a stored Gram block.
+    transpose of G M_d and the equation says that G M_d is symmetric.  Its
+    block (j, c) is delta^k F M(p), from gram_times, or zero, with the
+    transpose delta^k F M(p^-1); so it holds when every block (j, c) has
+    the mirror (c, j) with the same k and the inverse permutation.  The
+    converse holds as F M(p) is never zero, F is invertible, and the
+    labels' Specht modules, all the irreducibles of prod S_{m_i}, together
+    act faithfully: unequal permutations differ on some label.
     """
-    g = gram_matrix(mu, l, n)
-    for d in generator_diagrams(l, n).values():
-        blocks = gram_times(g, action_table(d, g.module.mvec, l, n))
-        # the blocks share their products, so each is transposed once;
-        # blocks keeps every P alive, so no id is reused while it is a key
-        transposed = {}
-        for (c, j), (k, P) in blocks.items():
-            e = blocks.get((j, c))
-            if e is None or e[0] != k:
+    tables = (action_table(d, mvec, l, n) for d in generator_diagrams(l, n).values())
+    for blocks in gram_times(mvec, l, n, tables):
+        for (j, c), (k, p) in blocks.items():
+            if blocks.get((c, j)) != (k, _inverse(p)):
                 return False
-            if id(P) not in transposed:
-                transposed[id(P)] = [list(col) for col in zip(*P)]
-            if e[1] != transposed[id(P)]:
-                return False
+        # free this table's blocks before gram_times builds the next
+        del blocks
     return True
 
 

@@ -237,6 +237,12 @@ def _tableau_perm(sigma):
     return tuple(perm_inverse(p) for p in sigma)
 
 
+def matching_product(a, b):
+    """a after b, class by class, as a[b[j]]: the order in which
+    SpechtRep.matrix multiplies, matrix(a) * matrix(b) being its matrix."""
+    return tuple(tuple(x[j] for j in y) for x, y in zip(a, b))
+
+
 @lru_cache(maxsize=None)
 def action_table(d, mvec, l, n):
     """The action of diagram d on the transversal of mvec, shared by every
@@ -273,13 +279,12 @@ def gram_table(mvec, l, n):
 def table_product(P, Q):
     """The action table of P * Q, for the tables P and Q of one vector:
     block j goes through Q, then P, the delta powers add, and the tableau
-    permutations compose as a[b[j]], the order in which SpechtRep.matrix
-    multiplies, so the matrices of the product are the products of the
-    matrices."""
+    permutations compose by matching_product, so the matrices of the
+    product are the products of the matrices."""
     out = []
     for q in Q:
         p = q and P[q[0]]
-        out.append(p and (p[0], p[1] + q[1], tuple(tuple(a[j] for j in b) for a, b in zip(p[2], q[2]))))
+        out.append(p and (p[0], p[1] + q[1], matching_product(p[2], q[2])))
     return tuple(out)
 
 

@@ -9,7 +9,7 @@ from . import diagram as dg
 from . import gamma
 from .algebra import generated_hom_check
 from .standard_modules import InvariantError, matchings, polar_decompose, polar_recompose
-from .standard_modules import section_size, vector_counts
+from .standard_modules import matching_product, section_size, vector_counts
 
 
 def p_chain(l, n):
@@ -105,10 +105,7 @@ def corner_group_check(mvec, l, n):
             s[i] = ident[i][:j] + (j + 1, j) + ident[i][j + 2:]
             gens.append(by_match[tuple(s)])
 
-    def then(s1, s2):
-        return 0, tuple(tuple(b[x] for x in a) for a, b in zip(s1, s2))
-
-    return generated_hom_check(gens, match, then), want
+    return generated_hom_check(gens, match, lambda s1, s2: (0, matching_product(s2, s1))), want
 
 
 def section_checks(l, n, delta0=None):

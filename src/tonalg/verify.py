@@ -189,7 +189,7 @@ def check_gram_nondegenerate(l, n):
 
 
 def check_contravariance(l, n):
-    return all(contravariance_check(mu, l, n) for mu in all_labels(l, n))
+    return all(contravariance_check(m, l, n) for m in gamma.gamma_set(l, n))
 
 
 def check_generator_relations(l, n):

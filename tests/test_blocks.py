@@ -13,7 +13,7 @@ from tonalg import standard_modules as sm
 from tonalg import symmetric
 from tonalg import verify
 from tonalg.cli import main
-from tonalg.exactla import block_matrix, poly_json
+from tonalg.exactla import block_matrix, int_mat_mul, poly_json
 
 from oracles import dense_action, ordered_pair_gram, poly_mat_mul, poly_mat_transpose
 
@@ -38,8 +38,12 @@ def dense_table(mod, table):
 
 
 def dense_blocks(mod, blocks):
+    # each entry (k, p) of gram_times sent to delta^k F M(p), F the label's form
+    F, matrix = mod.rep.form, mod.rep.matrix
     return block_matrix(
-        ((j, c, k, P) for (j, c), (k, P) in blocks.items()), len(mod.profiles), mod.rep.dim
+        ((j, c, k, int_mat_mul(F, matrix(p))) for (j, c), (k, p) in blocks.items()),
+        len(mod.profiles),
+        mod.rep.dim,
     )
 
 
@@ -74,18 +78,20 @@ def test_table_product_is_the_table_of_the_product(l, n):
                 assert got == want, (mvec, d, e)
 
 
-@pytest.mark.parametrize("l,n", CASES)
+# (1, 4) adds the vector (3,), whose sandwiches meet matchings of order 3
+@pytest.mark.parametrize("l,n", CASES + [(1, 4)])
 def test_contravariance_blocks_match_dense_products(l, n):
+    diagrams = _diagrams(l, n)
     for mu in sm.all_labels(l, n):
-        g = gr.gram_matrix(mu, l, n)
-        mod = g.module
+        mod = sm.standard_module(mu, l, n)
         G, _ = ordered_pair_gram(mu, l, n)
-        for d in _diagrams(l, n):
+        tables = [table_of(mod, d) for d in diagrams]
+        for d, GM in zip(diagrams, gr.gram_times(mod.mvec, l, n, tables)):
             M = dense_action(mod, d)
-            GM = gr.gram_times(g, table_of(mod, d))
             assert dense_blocks(mod, GM) == poly_mat_mul(G, M), (mu, d)
-            # G is symmetric, so the transposed blocks give M^T G
-            MtG = {(c, j): (k, [list(col) for col in zip(*P)]) for (j, c), (k, P) in GM.items()}
+            # G is symmetric, and the transpose of F M(p) is F M(p^-1), so
+            # the mirrored blocks with inverse permutations give M^T G
+            MtG = {(c, j): (k, tuple(map(symmetric.perm_inverse, p))) for (j, c), (k, p) in GM.items()}
             assert dense_blocks(mod, MtG) == poly_mat_mul(poly_mat_transpose(M), G), (mu, d)
 
 
@@ -133,42 +139,47 @@ def test_labels_of_one_vector_share_products(monkeypatch, mvec, l, n):
         G, exps = ordered_pair_gram(mu, l, n)
         g = gr.gram_matrix(mu, l, n)
         assert g.dense() == G, mu
-        assert {(i, j): k for i, j, k, _ in g.blocks()} == exps, mu
+        assert {(i, j): k for i, j, k, _ in g.blocks} == exps, mu
     size = len(sm.transversal(mvec, l, n))
     # the oracles compose len(diagrams) * size and size * size per label
     oracle = len(labels) * (len(diagrams) * size + size * size)
     assert len(calls) - oracle == len(diagrams) * size + size * (size + 1) // 2
 
 
-@pytest.mark.parametrize("perturb", ["exponent", "entry"])
+@pytest.mark.parametrize("perturb", ["exponent", "permutation"])
 def test_perturbed_gram_block_breaks_contravariance(monkeypatch, perturb):
-    # negative control: one block of a fresh Gram build is changed
-    mu, l, n = ((1,), ()), 2, 3
-    g = gr.GramMatrix(mu, l, n)
-    k, X = g.rows[0][1]
+    # negative control: the first off-diagonal gram_table entry of the
+    # vector (2, 0) at (2, 4), whose matching group is S_2, gains a delta
+    # or takes the other matching
+    mvec, l, n = (2, 0), 2, 4
+    real = gr.gram_table
+    table = real(mvec, l, n)
+    x = next(x for x, (i, j, _, _) in enumerate(table) if i != j)
+    i, j, k, s = table[x]
     if perturb == "exponent":
-        g.rows[0][1] = (k + 1, X)
+        k += 1
     else:
-        g.rows[0][1] = (k, [[x + 1 for x in row] for row in X])
-    assert gr.contravariance_check(mu, l, n)
-    monkeypatch.setattr(gr, "gram_matrix", lambda *args: g)
-    assert not gr.contravariance_check(mu, l, n)
+        s = next(t for t in sm.matchings(mvec) if t != s)
+    table = table[:x] + ((i, j, k, s),) + table[x + 1:]
+    assert gr.contravariance_check(mvec, l, n)
+    monkeypatch.setattr(gr, "gram_table", lambda *args: table if args == (mvec, l, n) else real(*args))
+    assert not gr.contravariance_check(mvec, l, n)
 
 
 def test_uninverted_tableau_perm_breaks_contravariance(monkeypatch):
     # negative control: matchings act on the tableau factor through
-    # themselves, not their inverses; at (1, 4) the label (2, 1) meets a
+    # themselves, not their inverses; at (1, 4) the vector (3,) meets a
     # matching of order 3, and the generators expose it
-    mu, l, n = ((2, 1),), 1, 4
-    assert gr.contravariance_check(mu, l, n)
+    mvec, l, n = (3,), 1, 4
+    assert gr.contravariance_check(mvec, l, n)
     monkeypatch.setattr(sm, "_tableau_perm", lambda sigma: tuple(sigma))
-    # the per-vector tables and the Gram matrices are cached per process:
-    # build them anew with the patched permutation, and drop them afterwards
-    caches = [sm.action_table, sm.gram_table, gr.gram_matrix]
+    # the per-vector tables are cached per process: build them anew with
+    # the patched permutation, and drop them afterwards
+    caches = [sm.action_table, sm.gram_table]
     for f in caches:
         f.cache_clear()
     try:
-        assert not gr.contravariance_check(mu, l, n)
+        assert not gr.contravariance_check(mvec, l, n)
     finally:
         for f in caches:
             f.cache_clear()
@@ -192,7 +203,13 @@ def test_dropped_map_entry_fails_span_closure(monkeypatch):
         br.restriction.cache_clear()
 
 
-TABLE_CHECKS = ["generator-relations", "module-globalisation", "branching-dimensions", "submodule-closure"]
+TABLE_CHECKS = [
+    "generator-relations",
+    "form-contravariance",
+    "module-globalisation",
+    "branching-dimensions",
+    "submodule-closure",
+]
 
 
 @pytest.mark.parametrize("l,n", [(2, 4), (3, 5)])
@@ -208,6 +225,22 @@ def test_table_checks_build_no_specht_matrix(monkeypatch, l, n):
     symmetric.OuterRep.matrix.cache_clear()
     for res in verify.run_verify(l, n, TABLE_CHECKS):
         assert (res.ok, res.error) == (True, None), res
+
+
+def _is_identity(M):
+    return all(v == (a == b) for a, row in enumerate(M) for b, v in enumerate(row))
+
+
+@pytest.mark.parametrize("l,n", [(1, 5), (2, 5), (3, 6)])
+def test_labels_act_faithfully_on_the_matching_group(l, n):
+    # the converse half of contravariance_check's proof: on some label of
+    # the vector, every matching but the identity acts as a non-identity
+    for mvec in gamma.gamma_set(l, n):
+        labels = sm.multipartitions_of(mvec)
+        one = tuple(tuple(range(x)) for x in mvec)
+        for s in sm.matchings(mvec):
+            if s != one:
+                assert not all(_is_identity(symmetric.outer_rep(mu).matrix(s)) for mu in labels), (mvec, s)
 
 
 def test_specht_matrices_are_built_once_per_matching(monkeypatch):

@@ -255,12 +255,14 @@ def _raise_an_exponent(mp):
 
 
 def _perturb_a_gram_block(mp):
-    # block (0, 1) of the Gram matrix of ((1), -) at (2, 3) gains a delta
-    g = gr.GramMatrix(((1,), ()), 2, 3)
-    k, X = g.rows[0][1]
-    g.rows[0][1] = (k + 1, X)
-    real = gr.gram_matrix
-    mp.setattr(gr, "gram_matrix", lambda mu, l, n: g if (mu, l, n) == (g.mu, 2, 3) else real(mu, l, n))
+    # the gram_table entry (0, 1) of the vector (1, 0) at (2, 3) gains a
+    # delta, so block (0, 1) of the Gram matrix of ((1), -) does too
+    real = gr.gram_table
+    key = (1, 0), 2, 3
+    table = real(*key)
+    x = next(x for x, e in enumerate(table) if e[:2] == (0, 1))
+    table = table[:x] + (table[x][:2] + (table[x][2] + 1, table[x][3]),) + table[x + 1:]
+    mp.setattr(gr, "gram_table", lambda *args: table if args == key else real(*args))
 
 
 def _keep_a_top_layer_block(mp):
